@@ -4,7 +4,9 @@
 //     vs the serial-equivalent cost (the sum of the per-shard builds; the
 //     ratio is the parallel index-build speedup the layer exists for), and
 //   * query: mean per-query time, whose delta vs the unsharded engine is
-//     the fan-out + skyline-merge overhead.
+//     the fan-out + skyline-merge overhead, plus the merge's dominance
+//     tests over the query set (a deterministic work counter in the
+//     sharded engine's JSON extras, not gated).
 //
 // Each sweep point lands in BENCH_sharded.json as one PointMetrics with
 // two engines: the sharded engine (threads = shard count, since the build
@@ -14,6 +16,7 @@
 // NOMSKY_SCALE scales the dataset; NOMSKY_QUERIES the queries averaged.
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,7 +50,9 @@ int main() {
     queries.push_back(gen::RandomImplicitQuery(data, tmpl, /*order=*/2, &rng));
   }
 
-  auto measure_queries = [&](const SkylineEngine& engine) {
+  // Mean per-query seconds; `on_query` (optional) runs after each query.
+  auto measure_queries = [&](const SkylineEngine& engine,
+                             const std::function<void()>& on_query = {}) {
     double total = 0.0;
     for (const PreferenceProfile& q : queries) {
       WallTimer timer;
@@ -58,6 +63,7 @@ int main() {
                      rows.status().ToString().c_str());
         std::exit(1);
       }
+      if (on_query) on_query();
     }
     return total / static_cast<double>(queries.size());
   };
@@ -92,16 +98,22 @@ int main() {
       const double wall_build = engine->preprocessing_seconds();
       const double serial_equiv = engine->shard_build_seconds_total() +
                                   engine->partition_seconds();
-      const double avg_query = measure_queries(*engine);
+      // The merge's dominance tests over the query set: a deterministic
+      // work counter (recorded in extras, not gated).
+      size_t merge_tests = 0;
+      const double avg_query = measure_queries(*engine, [&] {
+        merge_tests += engine->last_merge_dominance_tests();
+      });
 
       std::printf(
           "sharded:%-5s x%zu: build %7.1f ms wall (serial-equiv %7.1f ms, "
           "%.2fx), query %8.3f ms vs %8.3f ms unsharded "
-          "(merge %zu -> %zu rows)\n",
+          "(merge %zu -> %zu rows, %zu dominance tests over the queries)\n",
           inner.c_str(), shards, 1e3 * wall_build, 1e3 * serial_equiv,
           wall_build > 0.0 ? serial_equiv / wall_build : 0.0,
           1e3 * avg_query, 1e3 * plain_query,
-          engine->last_merge_candidates(), engine->last_merge_survivors());
+          engine->last_merge_candidates(), engine->last_merge_survivors(),
+          merge_tests);
 
       bench::PointMetrics point;
       point.label = inner + "/x" + std::to_string(shards);
@@ -113,6 +125,8 @@ int main() {
       sharded_metrics.preprocess_s = wall_build;
       sharded_metrics.storage_bytes = engine->MemoryUsage();
       sharded_metrics.avg_query_s = avg_query;
+      sharded_metrics.extras.emplace_back(
+          "merge_dominance_tests", static_cast<double>(merge_tests));
       point.engines.push_back(sharded_metrics);
 
       bench::EngineMetrics plain_metrics;

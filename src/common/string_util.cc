@@ -1,7 +1,11 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace nomsky {
 
@@ -15,6 +19,29 @@ std::vector<std::string> Split(const std::string& s, char delim) {
     }
   }
   return out;
+}
+
+bool ParseU64(const std::string& s, uint64_t* out) {
+  const char* const end = s.data() + s.size();
+  uint64_t value = 0;
+  const auto [stop, ec] = std::from_chars(s.data(), end, value);
+  if (s.empty() || ec != std::errc() || stop != end) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(const std::string& s, double* out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  char* stop = nullptr;
+  errno = 0;
+  const double value = std::strtod(s.c_str(), &stop);
+  if (errno != 0 || stop != s.c_str() + s.size() || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 std::string Trim(const std::string& s) {

@@ -62,7 +62,9 @@ class IpoTreeEngine : public SkylineEngine {
     /// (paper's IPO-Tree-10). Default: all values.
     size_t max_values_per_dim = std::numeric_limits<size_t>::max();
     /// Store/evaluate A-sets as bitmaps over S instead of sorted vectors.
-    bool use_bitmaps = false;
+    /// Same default as EngineOptions::use_bitmaps, so a direct
+    /// construction builds the tree the registry's engines serve.
+    bool use_bitmaps = true;
     Construction construction = Construction::kMdc;
     /// Worker threads for filling the per-node disqualified sets (they are
     /// independent). 1 = sequential; 0 = hardware concurrency.

@@ -88,12 +88,13 @@ std::optional<ResultCache::Answer> ResultCache::Lookup(
   base->hits.fetch_add(1, std::memory_order_relaxed);
   subsumed_hits_.fetch_add(1, std::memory_order_relaxed);
   // Refilter outside the mutex: the entry's rows are one self-contained
-  // shard span (its own columns, neutral slots and id map), so a single
-  // MergeShardSkylines pass emits exactly what a fresh scan would — same
-  // (score, global id) candidate order, same winner set.
-  const std::vector<ShardSpan> spans{
-      {&base->values, &base->packed, &base->locals, &base->rows}};
-  std::vector<RowId> rows = MergeShardSkylines(effective, spans);
+  // shard span (its own columns, neutral slots and id map), so one full
+  // RefilterSkyline pass emits exactly what a fresh scan would — same
+  // (score, global id) candidate order, same winner set. The span is a
+  // superset of the answer, not a skyline under `effective`, so the
+  // cross-shard MergeShardSkylines does not apply.
+  std::vector<RowId> rows = RefilterSkyline(
+      effective, {&base->values, &base->packed, &base->locals, &base->rows});
   // Promote the refined answer to an exact entry. Its rows derive from
   // `base`, which was live at `gen` — if a swap raced the refilter, the
   // generation check in Insert drops the promotion.

@@ -13,8 +13,10 @@
 //    the cached ids/values are the answer, byte-for-byte.
 //  * subsumption hit — the incoming profile REFINES a cached one
 //    (Subsumes(cached, incoming), Property 1): the cached skyline is a
-//    superset of the answer, so one MergeShardSkylines pass over the
-//    entry's own rows re-filters it through the dominance kernel —
+//    superset of the answer, so one full RefilterSkyline pass over the
+//    entry's own rows re-filters it through the dominance kernel (the
+//    cross-shard merge does not apply: the entry is not a skyline under
+//    the incoming profile) —
 //    orders of magnitude fewer rows than a table rescan, and the emitted
 //    sequence is identical to a fresh scan (same (score, id) candidate
 //    order, same winner set). The refined answer is promoted to its own

@@ -1,7 +1,6 @@
 #include "exec/sharded_engine.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
@@ -345,9 +344,10 @@ Result<std::vector<RowId>> ShardedEngine::QueryServed(
   }
 
   // Merge: the union of per-shard skylines is a lossless candidate set
-  // (see header); one extraction over the snapshots' own rows — packing
-  // candidates straight from their neutral blocks — removes the points
-  // only another shard can dominate.
+  // (see header); one cross-shard pass over the snapshots' own rows —
+  // packing candidates straight from their neutral blocks — removes the
+  // points only another shard can dominate. Each shard's answer is its
+  // exact local skyline, which is the merge's precondition.
   size_t candidates = 0;
   std::vector<ShardSpan> spans(k);
   for (size_t s = 0; s < k; ++s) {
@@ -355,10 +355,6 @@ Result<std::vector<RowId>> ShardedEngine::QueryServed(
     spans[s] = ShardSpan{&snaps[s]->data, &snaps[s]->packed, &locals[s],
                          &snaps[s]->global_rows};
   }
-  std::vector<RowId> skyline = MergeShardSkylines(effective, spans);
-  last_merge_candidates_.store(candidates, std::memory_order_relaxed);
-  last_merge_survivors_.store(skyline.size(), std::memory_order_relaxed);
-
   // The winners' neutral bytes are needed by the wire seam (neutral_rows)
   // and by the cache insert; both copy from the SAME pinned snapshots the
   // query ran on, so ids and bytes are epoch-consistent by construction.
@@ -366,22 +362,21 @@ Result<std::vector<RowId>> ShardedEngine::QueryServed(
   PackedBlock* winners =
       neutral_rows != nullptr ? neutral_rows
                               : (cache_ != nullptr ? &cache_scratch : nullptr);
+  std::vector<SpanRow> sources;
+  SfsStats merge_stats;
+  std::vector<RowId> skyline =
+      MergeShardSkylines(effective, spans, &merge_stats,
+                         winners != nullptr ? &sources : nullptr);
+  last_merge_candidates_.store(candidates, std::memory_order_relaxed);
+  last_merge_survivors_.store(skyline.size(), std::memory_order_relaxed);
+  last_merge_dominance_tests_.store(merge_stats.dominance_tests,
+                                    std::memory_order_relaxed);
   if (winners != nullptr) {
-    // Map the candidate global ids back to their (shard, local) source.
-    // Only candidates are indexed — the map is skyline-sized, not
-    // table-sized.
-    std::unordered_map<RowId, std::pair<size_t, RowId>> where;
-    where.reserve(candidates);
-    for (size_t s = 0; s < k; ++s) {
-      for (RowId local : locals[s]) {
-        where.emplace(snaps[s]->global_rows[local], std::make_pair(s, local));
-      }
-    }
     const CompiledProfile neutral(schema_, PreferenceProfile(schema_));
     winners->Reset(neutral.row_slots());
-    for (RowId g : skyline) {
-      const auto& [s, local] = where.at(g);
-      winners->AppendRaw(snaps[s]->packed.row(local), g);
+    for (size_t i = 0; i < skyline.size(); ++i) {
+      winners->AppendRaw(snaps[sources[i].span]->packed.row(sources[i].local),
+                         skyline[i]);
     }
   }
   if (cache_ != nullptr) {

@@ -26,8 +26,10 @@
 // partition-then-merge argument generalized to shards that own their rows:
 // each shard's answer is the exact skyline of its subset, the subsets
 // cover the table, so the union is a lossless candidate set and one
-// extraction pass (packing candidates straight from the snapshots' neutral
-// blocks) removes the points only another shard can dominate. No global
+// cross-shard pass (packing candidates straight from the snapshots' neutral
+// blocks, testing each only against the OTHER shards' accepted rows)
+// removes the points only another shard can dominate. With one shard the
+// merge is a score sort. No global
 // row store is consulted anywhere on the query path, which is what makes
 // the per-shard swap sound: there is nothing shared left to go stale.
 //
@@ -204,7 +206,8 @@ class ShardedEngine : public SkylineEngine {
 
   /// \brief Merge-overhead observability: candidates entering / surviving
   /// the most recent merge pass (union of per-shard skylines vs final
-  /// skyline). The two counters are published independently per query, so
+  /// skyline) and the dominance tests it ran (0 with one shard: the merge
+  /// is a score sort). The counters are published independently per query, so
   /// under CONCURRENT queries a reader can see values from different
   /// queries paired together — read them only while no batch is in flight
   /// (they are diagnostics, not an invariant-bearing pair).
@@ -213,6 +216,9 @@ class ShardedEngine : public SkylineEngine {
   }
   size_t last_merge_survivors() const {
     return last_merge_survivors_.load(std::memory_order_relaxed);
+  }
+  size_t last_merge_dominance_tests() const {
+    return last_merge_dominance_tests_.load(std::memory_order_relaxed);
   }
 
   /// \brief The armed result cache, or null (result_cache_capacity == 0).
@@ -272,6 +278,7 @@ class ShardedEngine : public SkylineEngine {
   std::mutex writer_mutex_;  // serializes RebuildShard/Rematerialize
   mutable std::atomic<size_t> last_merge_candidates_{0};
   mutable std::atomic<size_t> last_merge_survivors_{0};
+  mutable std::atomic<size_t> last_merge_dominance_tests_{0};
 };
 
 }  // namespace nomsky

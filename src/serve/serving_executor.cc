@@ -3,7 +3,6 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/serialize.h"
@@ -281,7 +280,7 @@ Result<ServeReply> ServingExecutor::Execute(const std::string& query_text) {
     // Cross-backend merge: each backend is one "shard" whose local skyline
     // is everything it returned (identity ids into its mini dataset), with
     // the received global ids as the local→global map. Same candidate set,
-    // same (score, global id) order, same extraction pass as a local
+    // same (score, global id) order, same cross-shard pass as a local
     // ShardedEngine — hence byte-identical results.
     std::vector<std::vector<RowId>> identity(n);
     std::vector<ShardSpan> spans(n);
@@ -291,25 +290,16 @@ Result<ServeReply> ServingExecutor::Execute(const std::string& query_text) {
       spans[i] = ShardSpan{&*shard_rows[i].data, &shard_rows[i].block,
                            &identity[i], &shard_rows[i].ids};
     }
-    out.rows = MergeShardSkylines(*profile, spans);
+    std::vector<SpanRow> sources;
+    out.rows = MergeShardSkylines(*profile, spans, nullptr, &sources);
 
-    // Rebuild the winners' values: map global id -> (backend, local row),
-    // splice the neutral bytes into one block, transpose once.
-    std::unordered_map<RowId, std::pair<size_t, RowId>> where;
-    size_t candidates = 0;
-    for (const BackendRows& rows : shard_rows) candidates += rows.ids.size();
-    where.reserve(candidates);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t r = 0; r < shard_rows[i].ids.size(); ++r) {
-        where.emplace(shard_rows[i].ids[r],
-                      std::make_pair(i, static_cast<RowId>(r)));
-      }
-    }
+    // Splice the winners' neutral bytes into one block, transpose once.
     PackedBlock winners;
     winners.Reset(shard_rows[0].block.stride());
-    for (RowId g : out.rows) {
-      const auto& [i, local] = where.at(g);
-      winners.AppendRaw(shard_rows[i].block.row(local), g);
+    for (size_t w = 0; w < out.rows.size(); ++w) {
+      winners.AppendRaw(
+          shard_rows[sources[w].span].block.row(sources[w].local),
+          out.rows[w]);
     }
     NOMSKY_ASSIGN_OR_RETURN(
         out.values,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 
 #include "exec/thread_pool.h"
 
@@ -87,55 +88,129 @@ std::vector<RowId> MergeLocalSkylines(
   return SfsSkyline(data, profile, merged, stats);
 }
 
-std::vector<RowId> MergeShardSkylines(const PreferenceProfile& profile,
-                                      const std::vector<ShardSpan>& spans,
-                                      SfsStats* stats) {
-  if (stats != nullptr) *stats = SfsStats{};
-  if (spans.empty()) return {};
-  const Schema& schema = spans.front().data->schema();
-  RankTable ranks(schema, profile);
+namespace {
 
-  // Union of the local skylines, scored from each shard's own rows. Sorting
-  // by (score, global id) reproduces exactly the order MergeLocalSkylines
-  // gets from ScoredRow over a shared source dataset.
-  struct Candidate {
-    double score;
-    RowId global;
-    uint32_t span;
-    RowId local;
+// One merge candidate. Sorting by (score, global id) reproduces exactly
+// the order MergeLocalSkylines gets from ScoredRow over a shared source
+// dataset.
+struct SpanCandidate {
+  double score;
+  RowId global;
+  uint32_t span;
+  RowId local;
 
-    bool operator<(const Candidate& o) const {
-      return score != o.score ? score < o.score : global < o.global;
-    }
-  };
-  std::vector<Candidate> merged;
+  bool operator<(const SpanCandidate& o) const {
+    return score != o.score ? score < o.score : global < o.global;
+  }
+};
+
+// The union of the spans' rows, each scored from its own shard and sorted:
+// the candidate order shared by every merge and refilter.
+std::vector<SpanCandidate> ScoreSpans(const RankTable& ranks,
+                                      std::span<const ShardSpan> spans) {
+  std::vector<SpanCandidate> merged;
   size_t total = 0;
   for (const ShardSpan& span : spans) total += span.local_skyline->size();
   merged.reserve(total);
   for (size_t s = 0; s < spans.size(); ++s) {
     const ShardSpan& span = spans[s];
     for (RowId local : *span.local_skyline) {
-      merged.push_back(Candidate{ranks.Score(*span.data, local),
-                                 (*span.to_global)[local],
-                                 static_cast<uint32_t>(s), local});
+      const RowId global =
+          span.to_global != nullptr ? (*span.to_global)[local] : local;
+      merged.push_back(SpanCandidate{ranks.Score(*span.data, local), global,
+                                     static_cast<uint32_t>(s), local});
     }
   }
   std::sort(merged.begin(), merged.end());
+  return merged;
+}
 
-  // One extraction pass; candidates pack from their own shard — via the
-  // neutral-packed bytes when the span carries them, else the columns.
-  CompiledProfile kernel(schema, profile);
+// Candidates pack from their own shard: via the neutral-packed bytes when
+// the span carries them, else the columns.
+void PackCandidate(const CompiledProfile& kernel, const ShardSpan& span,
+                   RowId local, uint64_t* dest) {
+  if (span.packed != nullptr) {
+    kernel.RepackRow(span.packed->row(local), dest);
+  } else {
+    kernel.PackRow(*span.data, local, dest);
+  }
+}
+
+void EmitWinner(const SpanCandidate& c, std::vector<RowId>* rows,
+                std::vector<SpanRow>* sources) {
+  rows->push_back(c.global);
+  if (sources != nullptr) sources->push_back(SpanRow{c.span, c.local});
+}
+
+// The one merge loop of every partition-then-merge caller. windows[t]
+// holds the rows every span but t has accepted, in acceptance order, so a
+// candidate from span t is tested only against other spans' rows (see the
+// precondition in sfs.h), in the order the full pass would meet them.
+std::vector<RowId> CrossSpanExtract(const CompiledProfile& kernel,
+                                    std::span<const ShardSpan> spans,
+                                    const std::vector<SpanCandidate>& sorted,
+                                    SfsStats* stats,
+                                    std::vector<SpanRow>* sources) {
+  const size_t n = spans.size();
+  std::vector<RowId> rows;
+  std::vector<uint64_t> cand(kernel.row_slots());
+  uint64_t* const cp = cand.data();
+  std::vector<PackedWindow> windows;
+  windows.reserve(n);
+  for (size_t t = 0; t < n; ++t) windows.emplace_back(kernel.row_slots());
+  SfsStats local_stats;
+  for (const SpanCandidate& c : sorted) {
+    PackCandidate(kernel, spans[c.span], c.local, cp);
+    if (WindowDominates(kernel, windows[c.span], cp,
+                        &local_stats.dominance_tests)) {
+      continue;
+    }
+    for (size_t t = 0; t < n; ++t) {
+      if (t != c.span) windows[t].Append(cp, c.global);
+    }
+    EmitWinner(c, &rows, sources);
+  }
+  if (stats != nullptr) *stats = local_stats;
+  return rows;
+}
+
+}  // namespace
+
+std::vector<RowId> MergeShardSkylines(const PreferenceProfile& profile,
+                                      const std::vector<ShardSpan>& spans,
+                                      SfsStats* stats,
+                                      std::vector<SpanRow>* sources) {
+  if (stats != nullptr) *stats = SfsStats{};
+  if (sources != nullptr) sources->clear();
+  if (spans.empty()) return {};
+  const Schema& schema = spans.front().data->schema();
+  const std::vector<SpanCandidate> sorted =
+      ScoreSpans(RankTable(schema, profile), spans);
+  if (spans.size() == 1) {
+    // A lone skyline has nothing to remove: the merge is the score sort.
+    std::vector<RowId> rows;
+    rows.reserve(sorted.size());
+    for (const SpanCandidate& c : sorted) EmitWinner(c, &rows, sources);
+    return rows;
+  }
+  return CrossSpanExtract(CompiledProfile(schema, profile), spans, sorted,
+                          stats, sources);
+}
+
+std::vector<RowId> RefilterSkyline(const PreferenceProfile& profile,
+                                   const ShardSpan& span, SfsStats* stats) {
+  const Schema& schema = span.data->schema();
+  const std::vector<SpanCandidate> sorted =
+      ScoreSpans(RankTable(schema, profile), {&span, 1});
+  // One window over the whole sequence: every candidate meets every row
+  // accepted before it.
+  const CompiledProfile kernel(schema, profile);
   std::vector<uint64_t> cand(kernel.row_slots());
   uint64_t* const cp = cand.data();
   PackedWindow window(kernel.row_slots());
   SfsStats local_stats;
-  for (const Candidate& c : merged) {
-    const ShardSpan& span = spans[c.span];
-    if (span.packed != nullptr) {
-      kernel.RepackRow(span.packed->row(c.local), cp);
-    } else {
-      kernel.PackRow(*span.data, c.local, cp);
-    }
+  for (const SpanCandidate& c : sorted) {
+    PackCandidate(kernel, span, c.local, cp);
     if (!WindowDominates(kernel, window, cp, &local_stats.dominance_tests)) {
       window.Append(cp, c.global);
     }
@@ -158,9 +233,8 @@ std::vector<RowId> ParallelSfsSkyline(const Dataset& data,
   // are safe.
   CompiledProfile kernel(data.schema(), profile);
 
-  // Local pass: each shard presorts its slice and keeps the surviving
-  // (score, row) pairs, still in score order.
-  std::vector<std::vector<ScoredRow>> local(shards);
+  // Local pass: each shard presorts its slice and extracts its skyline.
+  std::vector<std::vector<RowId>> local(shards);
   std::atomic<size_t> shard_tests{0};
   const size_t per_shard = (candidates.size() + shards - 1) / shards;
   ParallelFor(pool, shards, [&](size_t s) {
@@ -170,31 +244,20 @@ std::vector<RowId> ParallelSfsSkyline(const Dataset& data,
                              candidates.begin() + end);
     std::vector<ScoredRow> sorted = PresortByScore(data, ranks, slice);
     SfsStats shard_stats;
-    std::vector<RowId> sky = SfsExtract(kernel, data, sorted, &shard_stats);
+    local[s] = SfsExtract(kernel, data, sorted, &shard_stats);
     shard_tests.fetch_add(shard_stats.dominance_tests,
                           std::memory_order_relaxed);
-    std::vector<ScoredRow>& mine = local[s];
-    mine.reserve(sky.size());
-    // SfsExtract emits a score-ordered subsequence of `sorted`; recover the
-    // scores by walking the two in lockstep.
-    size_t cursor = 0;
-    for (RowId r : sky) {
-      while (sorted[cursor].row != r) ++cursor;
-      mine.push_back(sorted[cursor]);
-    }
   });
 
-  // Merge pass: union of the local skylines, re-sorted, one last extraction.
-  std::vector<ScoredRow> merged;
-  size_t total = 0;
-  for (const auto& shard : local) total += shard.size();
-  merged.reserve(total);
-  for (const auto& shard : local) {
-    merged.insert(merged.end(), shard.begin(), shard.end());
+  // Merge pass: every slice is a skyline over the shared source, so the
+  // cross-span merge applies with global ids as local ids.
+  std::vector<ShardSpan> spans(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    spans[s] = ShardSpan{&data, nullptr, &local[s], nullptr};
   }
-  std::sort(merged.begin(), merged.end());
   SfsStats merge_stats;
-  std::vector<RowId> skyline = SfsExtract(kernel, data, merged, &merge_stats);
+  std::vector<RowId> skyline = CrossSpanExtract(
+      kernel, spans, ScoreSpans(ranks, spans), &merge_stats, nullptr);
   if (stats != nullptr) {
     stats->dominance_tests =
         shard_tests.load(std::memory_order_relaxed) +

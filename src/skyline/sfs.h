@@ -84,12 +84,20 @@ std::vector<RowId> MergeLocalSkylines(
 /// \brief One shard's contribution to a cross-shard merge: its private row
 /// store, its local skyline (LOCAL row ids), the local→global id map, and
 /// optionally the shard's neutral-packed block (rows packed under the empty
-/// profile, identity ids). All pointers borrow; `packed` may be null.
+/// profile, identity ids). All pointers borrow; `packed` may be null, and a
+/// null `to_global` means the span's local ids already are global ids.
 struct ShardSpan {
   const Dataset* data = nullptr;
   const PackedBlock* packed = nullptr;
   const std::vector<RowId>* local_skyline = nullptr;
   const std::vector<RowId>* to_global = nullptr;
+};
+
+/// \brief Where a merge winner came from: the index of its span and its
+/// LOCAL row id there (an index into that span's `data` / `packed`).
+struct SpanRow {
+  uint32_t span;
+  RowId local;
 };
 
 /// \brief MergeLocalSkylines for shards that own PRIVATE datasets (each
@@ -102,19 +110,53 @@ struct ShardSpan {
 /// emitted sequence is byte-identical to it on equivalent inputs. When a
 /// span carries a neutral-packed block, rows are re-ranked from the packed
 /// bytes (CompiledProfile::RepackRow) without touching the Dataset columns.
-/// Returns GLOBAL row ids in emission (score) order.
+/// Returns GLOBAL row ids in emission (score) order; when `sources` is
+/// given it receives each winner's (span, local row), parallel to the
+/// result.
+///
+/// PRECONDITION: every span's `local_skyline` is a skyline of its rows
+/// under `profile` — no two rows of one span dominate each other. The merge
+/// relies on it to test each candidate only against the rows the OTHER
+/// spans have accepted so far (one PackedWindow per span, holding every
+/// other span's accepted rows in acceptance order): if some earlier
+/// candidate dominates c, then an ACCEPTED one w does (the candidates
+/// dominating c have an undominated member, which dominates c by
+/// transitivity, sorts before c because p ≺ q implies f(p) < f(q), and was
+/// accepted because nothing dominates it); w cannot share c's span, because
+/// that span is a skyline; so c's window of the other spans' rows finds w.
+/// The accepted set — and, since emission stays in (score, global id)
+/// order, the emitted sequence — equals a full single-window pass over the
+/// union, and each candidate runs at most as many dominance tests as it
+/// would there: its window is the full pass's window minus its own span's
+/// rows, which never dominate it. One span is therefore a pure score sort:
+/// no packing, zero dominance tests. A span that is a SUPERSET of a skyline
+/// (a cached answer re-filtered under a stronger profile) breaks the
+/// precondition; use RefilterSkyline for it.
 std::vector<RowId> MergeShardSkylines(const PreferenceProfile& profile,
                                       const std::vector<ShardSpan>& spans,
-                                      SfsStats* stats = nullptr);
+                                      SfsStats* stats = nullptr,
+                                      std::vector<SpanRow>* sources = nullptr);
+
+/// \brief The full single-window SFS pass over ONE span whose rows need not
+/// be mutually non-dominating: every candidate, in (score, global id) order,
+/// is tested against every row accepted before it. This is the result
+/// cache's subsumption refilter — a cached skyline under a weaker profile is
+/// a lossless superset of the skyline under a stronger one (Property 1),
+/// but not a skyline under it — and the "fresh scan" oracle over a whole
+/// table. Returns GLOBAL row ids in emission (score) order.
+std::vector<RowId> RefilterSkyline(const PreferenceProfile& profile,
+                                   const ShardSpan& span,
+                                   SfsStats* stats = nullptr);
 
 /// \brief Partition-then-merge SFS: candidates are split into `shards`
 /// slices, each slice's local skyline is extracted independently (on the
-/// pool when one is given), the presorted local skylines are merged, and a
-/// final extraction pass removes cross-shard dominated points. Global
-/// skyline points survive their own shard, so the union of local skylines
-/// is a lossless candidate set and the result equals SfsSkyline on the
-/// same inputs (row order may differ only among equal scores — both paths
-/// break score ties by row id). `pool` may be null and `shards` <= 1, which
+/// pool when one is given), and the local skylines are merged by the same
+/// cross-span pass as MergeShardSkylines, which tests each candidate only
+/// against the other slices' accepted rows. Global skyline points survive
+/// their own shard, so the union of local skylines is a lossless candidate
+/// set and the result equals SfsSkyline on the same inputs, in the same
+/// order (both paths break score ties by row id). `pool` may be null and
+/// `shards` <= 1, which
 /// degrade to the sequential path. `stats` sums the dominance tests of all
 /// shards plus the merge pass.
 std::vector<RowId> ParallelSfsSkyline(const Dataset& data,

@@ -67,11 +67,15 @@ TEST_P(IpoSerializeTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+// gtest prints each parameter as a byte dump, padding included, and that
+// dump is part of the discovered ctest name. A static array is
+// zero-initialized before its values are set, so its padding bytes are zero
+// and the names stay the same from run to run.
+constexpr SerializeParam kSerializeParams[] = {
+    {false, SIZE_MAX}, {true, SIZE_MAX}, {false, 3}, {true, 3}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Variants, IpoSerializeTest,
-    ::testing::Values(SerializeParam{false, SIZE_MAX},
-                      SerializeParam{true, SIZE_MAX},
-                      SerializeParam{false, 3}, SerializeParam{true, 3}),
+    Variants, IpoSerializeTest, ::testing::ValuesIn(kSerializeParams),
     [](const ::testing::TestParamInfo<SerializeParam>& info) {
       std::string name = info.param.use_bitmaps ? "bitmap" : "vector";
       name += info.param.topk == SIZE_MAX ? "_full" : "_topk";

@@ -32,8 +32,9 @@ PreferenceProfile Parse(const Schema& schema, const std::string& text) {
   return PreferenceProfile::ParseText(schema, text).ValueOrDie();
 }
 
-// The emission order the cache serves: one full-table span through
-// MergeShardSkylines — the same (score, global id) candidate order the
+// The emission order the cache serves: one full-table span through the
+// full RefilterSkyline pass (the table is not a skyline, so the cross-shard
+// merge does not apply) — the same (score, global id) candidate order the
 // sharded and serving paths emit.
 std::vector<RowId> CanonicalSkyline(const Dataset& data,
                                     const PreferenceProfile& profile) {
@@ -41,8 +42,7 @@ std::vector<RowId> CanonicalSkyline(const Dataset& data,
   PackedBlock packed;
   packed.PackAll(neutral, data);
   std::vector<RowId> all = AllRows(data.num_rows());
-  const std::vector<ShardSpan> spans{{&data, &packed, &all, &all}};
-  return MergeShardSkylines(profile, spans);
+  return RefilterSkyline(profile, {&data, &packed, &all, &all});
 }
 
 // Computes `profile`'s skyline fresh and publishes it, exactly as an

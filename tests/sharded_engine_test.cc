@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "datagen/generator.h"
+#include "dominance/kernel_simd.h"
 #include "exec/engine_registry.h"
 #include "exec/planner.h"
 #include "exec/query_executor.h"
@@ -125,6 +127,101 @@ TEST_P(ShardedEngineTest, ShardedSfsdIsByteIdenticalToSfsd) {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(*got, *expected)
           << "emission order differs under " << ShardPolicyName(policy);
+    }
+  }
+}
+
+// The cross-shard merge against the full single-window pass over the same
+// union: random tables split into 1/2/3/8 private shards, local skylines
+// from every registered engine, every kernel tier. The sequence must be
+// identical, each winner's reported source must map back to its global id,
+// and the merge must do no intra-shard work — zero dominance tests for one
+// shard, never more than the full pass for k.
+TEST_P(ShardedEngineTest, CrossShardMergeEmitsTheFullPassSequence) {
+  RandomCase c = MakeCase(GetParam() + 200, 240 + GetParam() * 23);
+  const CompiledProfile neutral(c.data.schema(),
+                                PreferenceProfile(c.data.schema()));
+  PackedBlock source_packed;
+  source_packed.PackAll(neutral, c.data);
+  EngineRegistry& registry = EngineRegistry::Global();
+  for (size_t k : {1, 2, 3, 8}) {
+    ShardedDataset::Options split;
+    split.num_shards = k;
+    auto sharded = ShardedDataset::Partition(c.data, split);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    std::vector<PackedBlock> packed(k);
+    for (size_t s = 0; s < k; ++s) packed[s].PackAll(neutral, sharded->shard(s));
+    for (const std::string& name : registry.Names()) {
+      if (name == "sharded") continue;
+      std::vector<std::unique_ptr<SkylineEngine>> engines;
+      for (size_t s = 0; s < k; ++s) {
+        auto engine = registry.Create(name, sharded->shard(s), c.tmpl);
+        ASSERT_TRUE(engine.ok()) << name << ": " << engine.status().ToString();
+        engines.push_back(std::move(engine).ValueOrDie());
+      }
+      for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+        const PreferenceProfile combined =
+            c.queries[qi].CombineWithTemplate(c.tmpl).ValueOrDie();
+        std::vector<std::vector<RowId>> locals(k);
+        std::vector<RowId> union_rows;
+        std::vector<ShardSpan> spans(k);
+        for (size_t s = 0; s < k; ++s) {
+          auto rows = engines[s]->Query(c.queries[qi]);
+          ASSERT_TRUE(rows.ok()) << name << ": " << rows.status().ToString();
+          locals[s] = std::move(rows).ValueOrDie();
+          for (RowId local : locals[s]) {
+            union_rows.push_back(sharded->ToGlobal(s, local));
+          }
+          spans[s] = ShardSpan{&sharded->shard(s), &packed[s], &locals[s],
+                               &sharded->shard_rows(s)};
+        }
+        for (KernelTier tier : AvailableKernelTiers()) {
+          ForceKernelTier(static_cast<int>(tier));
+          SfsStats full_stats;
+          const std::vector<RowId> full = RefilterSkyline(
+              combined, {&c.data, &source_packed, &union_rows, nullptr},
+              &full_stats);
+          SfsStats merge_stats;
+          std::vector<SpanRow> sources;
+          const std::vector<RowId> merged =
+              MergeShardSkylines(combined, spans, &merge_stats, &sources);
+          const std::string where = name + " at " + std::to_string(k) +
+                                    " shards, query " + std::to_string(qi) +
+                                    ", tier " + KernelTierName(tier);
+          EXPECT_EQ(merged, full) << where;
+          ASSERT_EQ(sources.size(), merged.size()) << where;
+          for (size_t i = 0; i < merged.size(); ++i) {
+            EXPECT_EQ(sharded->ToGlobal(sources[i].span, sources[i].local),
+                      merged[i])
+                << where;
+          }
+          if (k == 1) {
+            EXPECT_EQ(merge_stats.dominance_tests, 0u) << where;
+          } else {
+            EXPECT_LE(merge_stats.dominance_tests, full_stats.dominance_tests)
+                << where;
+          }
+        }
+        ForceKernelTier(kTierNoForce);
+      }
+    }
+  }
+}
+
+// SFS-D's partition-then-merge path shares the cross-shard merge loop: its
+// sequence must equal the sequential SFS pass at every slice count.
+TEST_P(ShardedEngineTest, ParallelSfsEmitsTheSequentialSequence) {
+  RandomCase c = MakeCase(GetParam() + 300, 400);
+  ThreadPool pool(2);
+  const std::vector<RowId> all = AllRows(c.data.num_rows());
+  for (const PreferenceProfile& query : c.queries) {
+    const PreferenceProfile combined =
+        query.CombineWithTemplate(c.tmpl).ValueOrDie();
+    const std::vector<RowId> expected = SfsSkyline(c.data, combined, all);
+    for (size_t slices : {2, 3, 8}) {
+      EXPECT_EQ(ParallelSfsSkyline(c.data, combined, all, &pool, slices),
+                expected)
+          << slices << " slices";
     }
   }
 }

@@ -71,16 +71,16 @@ std::vector<PartialOrder> OrdersOf(const PreferenceProfile& profile) {
   return orders;
 }
 
-// One full-table span through MergeShardSkylines: the canonical emission
-// order the cache both stores and serves.
+// One full-table span through the full RefilterSkyline pass (the table is
+// not a skyline, so the cross-shard merge does not apply): the canonical
+// emission order the cache both stores and serves.
 std::vector<RowId> CanonicalSkyline(const Dataset& data,
                                     const PreferenceProfile& profile) {
   CompiledProfile neutral(data.schema(), PreferenceProfile(data.schema()));
   PackedBlock packed;
   packed.PackAll(neutral, data);
   std::vector<RowId> all = AllRows(data.num_rows());
-  const std::vector<ShardSpan> spans{{&data, &packed, &all, &all}};
-  return MergeShardSkylines(profile, spans);
+  return RefilterSkyline(profile, {&data, &packed, &all, &all});
 }
 
 class SubsumptionPropertyTest : public ::testing::TestWithParam<uint64_t> {};

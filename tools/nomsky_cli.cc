@@ -52,6 +52,8 @@
 // Example:
 //   nomsky_cli --csv packages.csv --schema "price:min,stars:max,group:nom{T|H|M}" "group: T<M<*"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -132,8 +134,9 @@ Result<std::vector<serve::Endpoint>> ParseEndpoints(const std::string& spec) {
                                      "' is not HOST:PORT");
     }
     endpoint.host = part.substr(0, colon);
-    const long port = std::atol(part.substr(colon + 1).c_str());
-    if (endpoint.host.empty() || port <= 0 || port > 65535) {
+    uint64_t port = 0;
+    if (endpoint.host.empty() || !ParseU64(part.substr(colon + 1), &port) ||
+        port == 0 || port > 65535) {
       return Status::InvalidArgument("endpoint '", part,
                                      "' is not HOST:PORT");
     }
@@ -359,12 +362,10 @@ int RunConnect(ConnectArgs args) {
       return 2;
     }
     const size_t colon = args.refresh_spec.find(':');
-    const long shard =
-        colon == std::string::npos
-            ? -1
-            : std::atol(args.refresh_spec.substr(0, colon).c_str());
-    if (shard < 0 || colon == std::string::npos ||
-        colon + 1 >= args.refresh_spec.size()) {
+    uint64_t shard = 0;
+    if (colon == std::string::npos ||
+        !ParseU64(args.refresh_spec.substr(0, colon), &shard) ||
+        shard > UINT32_MAX || colon + 1 >= args.refresh_spec.size()) {
       std::fprintf(stderr, "--refresh wants SHARD:FILE, got '%s'\n",
                    args.refresh_spec.c_str());
       return 2;
@@ -605,6 +606,26 @@ int Run(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags parse strictly: the whole value must be a whole number
+    // in [min, max], or the CLI exits 2 naming the flag.
+    auto need_count = [&](const char* flag, uint64_t min,
+                          uint64_t max = UINT64_MAX) -> uint64_t {
+      const char* text = need_value(flag);
+      uint64_t value = 0;
+      if (!ParseU64(text, &value) || value < min || value > max) {
+        if (max == UINT64_MAX) {
+          std::fprintf(stderr, "%s wants a whole number >= %llu, got '%s'\n",
+                       flag, static_cast<unsigned long long>(min), text);
+        } else {
+          std::fprintf(stderr, "%s wants a whole number in %llu..%llu, "
+                       "got '%s'\n", flag,
+                       static_cast<unsigned long long>(min),
+                       static_cast<unsigned long long>(max), text);
+        }
+        std::exit(2);
+      }
+      return value;
+    };
     if (arg == "--csv") {
       csv_path = need_value("--csv");
     } else if (arg == "--schema") {
@@ -614,19 +635,9 @@ int Run(int argc, char** argv) {
     } else if (arg == "--engine") {
       engine_name = need_value("--engine");
     } else if (arg == "--threads") {
-      long value = std::atol(need_value("--threads"));
-      if (value < 0) {
-        std::fprintf(stderr, "--threads must be >= 0 (0 = all cores)\n");
-        return 2;
-      }
-      threads = static_cast<size_t>(value);
+      threads = need_count("--threads", 0);  // 0 = all cores
     } else if (arg == "--shards") {
-      long value = std::atol(need_value("--shards"));
-      if (value < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
-      shards = static_cast<size_t>(value);
+      shards = need_count("--shards", 1);
     } else if (arg == "--batch") {
       batch_path = need_value("--batch");
     } else if (arg == "--save-shards") {
@@ -636,11 +647,8 @@ int Run(int argc, char** argv) {
     } else if (arg == "--split-shards") {
       split_shards_prefix = need_value("--split-shards");
     } else if (arg == "--serve") {
-      serve_port = std::atol(need_value("--serve"));
-      if (serve_port < 0 || serve_port > 65535) {
-        std::fprintf(stderr, "--serve PORT must be 0..65535 (0 = pick)\n");
-        return 2;
-      }
+      serve_port = static_cast<long>(
+          need_count("--serve", 0, 65535));  // 0 = pick a free port
     } else if (arg == "--connect") {
       connect.endpoints_spec = need_value("--connect");
     } else if (arg == "--push-image") {
@@ -652,18 +660,10 @@ int Run(int argc, char** argv) {
     } else if (arg == "--shutdown") {
       connect.shutdown = true;
     } else if (arg == "--query-cache") {
-      long value = std::atol(need_value("--query-cache"));
-      if (value < 1) {
-        std::fprintf(stderr, "--query-cache must be >= 1\n");
-        return 2;
-      }
-      query_cache = static_cast<size_t>(value);
+      query_cache = need_count("--query-cache", 1);
     } else if (arg == "--result-cache") {
-      result_cache = std::atol(need_value("--result-cache"));
-      if (result_cache < 0) {
-        std::fprintf(stderr, "--result-cache must be >= 0 (0 disables)\n");
-        return 2;
-      }
+      result_cache = static_cast<long>(need_count(
+          "--result-cache", 0, LONG_MAX));  // 0 disables
     } else if (arg == "--rematerialize") {
       // Optional width: "--rematerialize 20" pins the plan to the top 20
       // values per dimension; bare "--rematerialize" uses the default.
@@ -671,25 +671,21 @@ int Run(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::strspn(argv[i + 1], "0123456789") ==
               std::strlen(argv[i + 1])) {
-        connect.rematerialize_topk =
-            static_cast<uint32_t>(std::atol(argv[++i]));
+        connect.rematerialize_topk = static_cast<uint32_t>(
+            need_count("--rematerialize", 0, UINT32_MAX));
       }
     } else if (arg == "--rematerialize-threshold") {
-      rematerialize_threshold = std::atof(need_value(
-          "--rematerialize-threshold"));
-      if (rematerialize_threshold < 0.0 || rematerialize_threshold > 1.0) {
+      const char* text = need_value("--rematerialize-threshold");
+      if (!ParseDouble(text, &rematerialize_threshold) ||
+          rematerialize_threshold < 0.0 || rematerialize_threshold > 1.0) {
         std::fprintf(stderr,
-                     "--rematerialize-threshold must be in [0, 1] "
-                     "(0 disables)\n");
+                     "--rematerialize-threshold must be a number in "
+                     "[0, 1] (0 disables), got '%s'\n",
+                     text);
         return 2;
       }
     } else if (arg == "--rematerialize-cooldown") {
-      long value = std::atol(need_value("--rematerialize-cooldown"));
-      if (value < 1) {
-        std::fprintf(stderr, "--rematerialize-cooldown must be >= 1\n");
-        return 2;
-      }
-      rematerialize_cooldown = static_cast<size_t>(value);
+      rematerialize_cooldown = need_count("--rematerialize-cooldown", 1);
     } else if (arg == "--no-adaptive") {
       adaptive = false;
     } else if (arg == "--explain") {
@@ -702,9 +698,9 @@ int Run(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--topk") {
-      topk = static_cast<size_t>(std::atol(need_value("--topk")));
+      topk = need_count("--topk", 0);
     } else if (arg == "--limit") {
-      limit = static_cast<size_t>(std::atol(need_value("--limit")));
+      limit = need_count("--limit", 0);
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: nomsky_cli --csv FILE --schema SPEC "
                   "[--template PREFS] [--engine NAME|auto|sharded:NAME] "
