@@ -1,7 +1,7 @@
 // Compiled dominance kernel microbench: ns/comparison of the reference
 // path (DominanceComparator::Compare, per-pair column re-indexing +
 // profile interpretation) against the compiled kernel at EVERY dispatch
-// tier the host supports (scalar, and sse42/avx2 where available, pinned
+// tier the host supports (scalar, and avx2 where available, pinned
 // via ForceKernelTier), measured on the two hot-path shapes the engines
 // actually run:
 //

@@ -102,16 +102,14 @@ BENCHMARK(BM_SortedListInsertErase);
 void BM_IpoQuery(benchmark::State& state) {
   Dataset data = MakeData(5000);
   PreferenceProfile tmpl = gen::MostFrequentTemplate(data);
-  IpoTreeEngine::Options opts;
-  opts.use_bitmaps = state.range(0) != 0;
-  IpoTreeEngine tree(data, tmpl, opts);
+  IpoTreeEngine tree(data, tmpl);
   Rng rng(4);
   PreferenceProfile query = gen::RandomImplicitQuery(data, tmpl, 3, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.Query(query).ValueOrDie());
   }
 }
-BENCHMARK(BM_IpoQuery)->Arg(0)->Arg(1);
+BENCHMARK(BM_IpoQuery);
 
 }  // namespace
 }  // namespace nomsky

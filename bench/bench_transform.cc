@@ -34,7 +34,6 @@ int main() {
     SfsDirect sfsd(data, tmpl);
     AdaptiveSfsEngine asfs(data, tmpl);
     IpoTreeEngine::Options tree_opts;
-    tree_opts.use_bitmaps = true;
     tree_opts.num_threads = 0;
     IpoTreeEngine tree(data, tmpl, tree_opts);
 

@@ -102,16 +102,13 @@ PointMetrics RunPoint(const Dataset& data, const PreferenceProfile& tmpl,
 
   double avg_query_sky = 0.0;
   if (opts.run_ipo_full) {
-    IpoTreeEngine::Options tree_opts;
-    tree_opts.use_bitmaps = true;
-    IpoTreeEngine tree(data, tmpl, tree_opts);
+    IpoTreeEngine tree(data, tmpl);
     point.engines.push_back(MeasureQueries(
         tree, "IPO Tree", tree.preprocessing_seconds(), tree.MemoryUsage(),
         queries, queries.size(), nullptr));
   }
   if (opts.run_ipo_topk) {
     IpoTreeEngine::Options tree_opts;
-    tree_opts.use_bitmaps = true;
     tree_opts.max_values_per_dim = opts.topk;
     IpoTreeEngine tree(data, tmpl, tree_opts);
     // Queries may reference unmaterialized values; measure only supported

@@ -57,7 +57,6 @@ int main() {
 
   WallTimer t_tree;
   IpoTreeEngine::Options tree_opts;
-  tree_opts.use_bitmaps = true;
   tree_opts.max_values_per_dim = 6;  // materialize the 6 most popular
   IpoTreeEngine tree(data, tmpl, tree_opts);
   double tree_build = t_tree.ElapsedSeconds();

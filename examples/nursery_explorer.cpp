@@ -42,9 +42,7 @@ int main() {
 
   // Build the IPO tree, persist it, reload it (a server restart).
   WallTimer build;
-  IpoTreeEngine::Options opts;
-  opts.use_bitmaps = true;
-  IpoTreeEngine tree(*reloaded, tmpl, opts);
+  IpoTreeEngine tree(*reloaded, tmpl);
   std::printf("IPO tree built in %.3f s; actual template skyline: %zu\n",
               build.ElapsedSeconds(), tree.template_skyline().size());
 

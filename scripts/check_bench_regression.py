@@ -38,7 +38,9 @@ results as the new baseline arms the gate for the next run.
 A PRESENT baseline whose entries match nothing in the fresh run is an
 error, not a skip: that shape means a rename or re-keying silently
 disarmed the gate, so the checker exits 1 and prints the engine names on
-both sides.
+both sides. Baseline entries with no fresh counterpart in an otherwise
+matching file are named in a warning (a dropped engine or point is
+visible, not silently ungated); they do not fail the run.
 
 Usage:
   scripts/check_bench_regression.py --baseline bench_results --fresh out \
@@ -149,6 +151,12 @@ def main():
                   f"  fresh engines:    {', '.join(fresh_names)}",
                   file=sys.stderr)
             return 1
+        stale = sorted(set(base_means) - set(fresh_means))
+        if stale:
+            print(f"warning: {fresh_path.name}: {len(stale)} baseline "
+                  "entries have no fresh counterpart and are not gated:")
+            for fi, label, engine, threads, metric in stale:
+                print(f"  figure {fi} [{label}] {engine} x{threads} {metric}")
         warned_tiers = set()
         for key, (fresh_mean, fresh_scale, fresh_tier) in \
                 sorted(fresh_means.items()):

@@ -50,8 +50,8 @@ figure_benches=(fig4_dbsize fig5_dims fig6_cardinality fig7_order fig8_nursery
                 kernel parallel rematerialization result_cache serving sharded
                 snapshot)
 if [[ $run_all -eq 1 ]]; then
-  figure_benches+=(ablation_bitmap ablation_mdc baselines hybrid incremental
-                   materialization transform)
+  figure_benches+=(ablation_mdc baselines hybrid incremental materialization
+                   transform)
 fi
 
 for bench in "${figure_benches[@]}"; do

@@ -3,14 +3,21 @@
 // Layout (little-endian, fixed-width):
 //   magic "NIPO", version u32
 //   fingerprint: num_rows u64, num_nominal u32, cardinalities u32[]
-//   template: per nominal dim, order u32 + choice ids u32[]
-//   options: use_bitmaps u8, max_values_per_dim u64
+//                (num_nominal entries, no count prefix)
+//   template: per nominal dim, choice count u64 + choice ids u32[]
+//   options: A-set flag u8, max_values_per_dim u64
 //   skyline: count u64 + row ids u32[]
-//   allowed values: per dim, count u32 + value ids u32[]
+//   allowed values: per dim, count u64 + value ids u32[]
 //   nodes: disqualified sets in construction (preorder) order, each as
 //          count u64 + row ids u32[]; the tree SHAPE is a pure function of
 //          the allowed-value lists, so no structural metadata is stored.
+//          Every A-set row must be a row of the skyline.
 //   build stats: num_nodes u64, total_disqualified u64, mdc_conditions u64
+//
+// The A-set flag once chose between sorted-vector and bitmap A-sets. Both
+// wrote A-sets as the row-id lists above, so the byte no longer selects
+// anything: Save writes 1, and Load accepts 0 or 1 and builds bitmap
+// A-sets either way. Any other value is rejected as malformed.
 //
 // Primitive encoding rides on common/serialize.h (u32 vectors are
 // BinaryWriter::PodVector: u64 count + raw elements), which this format
@@ -48,7 +55,7 @@ Status IpoTreeEngine::Save(const std::string& path) const {
   for (size_t j = 0; j < schema.num_nominal(); ++j) {
     writer.PodVector(template_->pref(j).choices());
   }
-  writer.Pod<uint8_t>(options_.use_bitmaps ? 1 : 0);
+  writer.Pod<uint8_t>(1);  // A-set flag, see the layout above
   writer.Pod<uint64_t>(options_.max_values_per_dim);
 
   writer.PodVector(skyline_);
@@ -61,12 +68,8 @@ Status IpoTreeEngine::Save(const std::string& path) const {
       // Choice children store an A-set; the φ child (last slot) stores an
       // empty one — writing it uniformly keeps the format simple.
       std::vector<uint32_t> rows;
-      if (options_.use_bitmaps) {
-        child->a_bits.ForEachSetBit(
-            [&](size_t i) { rows.push_back(skyline_[i]); });
-      } else {
-        rows = child->a_rows;
-      }
+      child->a_bits.ForEachSetBit(
+          [&](size_t i) { rows.push_back(skyline_[i]); });
       writer.PodVector(rows);
       self(self, *child);
     }
@@ -124,14 +127,16 @@ Result<std::unique_ptr<IpoTreeEngine>> IpoTreeEngine::Load(
                                      "' was built with a different template");
     }
   }
-  uint8_t use_bitmaps = 0;
+  uint8_t aset_flag = 0;
   uint64_t max_values = 0;
-  if (!reader.Pod(&use_bitmaps) || !reader.Pod(&max_values)) {
+  if (!reader.Pod(&aset_flag) || !reader.Pod(&max_values)) {
     return Status::InvalidArgument("'", path, "' truncated (options)");
+  }
+  if (aset_flag > 1) {
+    return Status::InvalidArgument("'", path, "' has a bad A-set flag");
   }
 
   Options options;
-  options.use_bitmaps = use_bitmaps != 0;
   options.max_values_per_dim = max_values;
   auto engine = std::unique_ptr<IpoTreeEngine>(
       new IpoTreeEngine(data, tmpl, options, LoadTag{}));
@@ -163,10 +168,8 @@ Result<std::unique_ptr<IpoTreeEngine>> IpoTreeEngine::Load(
           static_cast<int32_t>(k);
     }
   }
-  if (options.use_bitmaps) {
-    engine->bitmap_index_ =
-        std::make_unique<NominalBitmapIndex>(data, engine->skyline_);
-  }
+  engine->bitmap_index_ =
+      std::make_unique<NominalBitmapIndex>(data, engine->skyline_);
 
   // Rebuild the tree shape and read A-sets in the same recursion order.
   engine->root_ = std::make_unique<Node>();
@@ -181,18 +184,17 @@ Result<std::unique_ptr<IpoTreeEngine>> IpoTreeEngine::Load(
         read_error = Status::InvalidArgument("'", path, "' truncated (nodes)");
         return;
       }
-      if (engine->options_.use_bitmaps) {
-        child->a_bits = DynamicBitset(engine->skyline_.size());
-        for (uint32_t r : rows) {
-          if (r >= engine->row_to_pos_.size()) {
-            read_error =
-                Status::InvalidArgument("'", path, "' has bad A-set rows");
-            return;
-          }
-          child->a_bits.set(engine->row_to_pos_[r]);
+      child->a_bits = DynamicBitset(engine->skyline_.size());
+      for (uint32_t r : rows) {
+        // row_to_pos_ maps every non-skyline row to 0, so membership needs
+        // the round trip: a row outside S would silently disqualify S[0].
+        if (r >= engine->row_to_pos_.size() ||
+            engine->skyline_[engine->row_to_pos_[r]] != r) {
+          read_error =
+              Status::InvalidArgument("'", path, "' has bad A-set rows");
+          return;
         }
-      } else {
-        child->a_rows = std::move(rows);
+        child->a_bits.set(engine->row_to_pos_[r]);
       }
       self(self, child.get(), depth + 1);
       node->children[k] = std::move(child);

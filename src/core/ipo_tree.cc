@@ -12,39 +12,6 @@
 
 namespace nomsky {
 
-namespace {
-
-// Sorted-vector set algebra over row ids.
-
-std::vector<RowId> SetDifference(const std::vector<RowId>& x,
-                                 const std::vector<RowId>& a) {
-  std::vector<RowId> out;
-  out.reserve(x.size());
-  std::set_difference(x.begin(), x.end(), a.begin(), a.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
-std::vector<RowId> SetIntersection(const std::vector<RowId>& x,
-                                   const std::vector<RowId>& y) {
-  std::vector<RowId> out;
-  out.reserve(std::min(x.size(), y.size()));
-  std::set_intersection(x.begin(), x.end(), y.begin(), y.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<RowId> SetUnion(const std::vector<RowId>& x,
-                            const std::vector<RowId>& y) {
-  std::vector<RowId> out;
-  out.reserve(x.size() + y.size());
-  std::set_union(x.begin(), x.end(), y.begin(), y.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-}  // namespace
-
 IpoTreeEngine::IpoTreeEngine(const Dataset& data, const PreferenceProfile& tmpl,
                              Options options)
     : data_(&data), template_(&tmpl), options_(options) {
@@ -109,9 +76,7 @@ IpoTreeEngine::IpoTreeEngine(const Dataset& data, const PreferenceProfile& tmpl,
     mdc = std::make_unique<MdcIndex>(data, tmpl, skyline_, dominator_pool_);
     build_stats_.mdc_conditions = mdc->TotalConditions();
   }
-  if (options_.use_bitmaps) {
-    bitmap_index_ = std::make_unique<NominalBitmapIndex>(data, skyline_);
-  }
+  bitmap_index_ = std::make_unique<NominalBitmapIndex>(data, skyline_);
 
   // Phase 1: materialize the tree shape and collect one fill job per
   // choice node; Phase 2: fill the (independent) disqualified sets, in
@@ -169,7 +134,7 @@ void IpoTreeEngine::BuildSubtree(Node* node, size_t depth,
   // so no disqualified set of its own.
   (*choices)[depth] = kInvalidValue;
   auto phi = std::make_unique<Node>();
-  if (options_.use_bitmaps) phi->a_bits = DynamicBitset(skyline_.size());
+  phi->a_bits = DynamicBitset(skyline_.size());
   BuildSubtree(phi.get(), depth + 1, choices, jobs);
   node->children.back() = std::move(phi);
 }
@@ -212,14 +177,9 @@ size_t IpoTreeEngine::FillDisqualifiedSet(Node* node,
       }
     }
   }
-  size_t count = disqualified.size();
-  if (options_.use_bitmaps) {
-    node->a_bits = DynamicBitset(skyline_.size());
-    for (RowId r : disqualified) node->a_bits.set(row_to_pos_[r]);
-  } else {
-    node->a_rows = std::move(disqualified);  // already sorted (skyline_ is)
-  }
-  return count;
+  node->a_bits = DynamicBitset(skyline_.size());
+  for (RowId r : disqualified) node->a_bits.set(row_to_pos_[r]);
+  return disqualified.size();
 }
 
 Result<std::vector<RowId>> IpoTreeEngine::Query(
@@ -239,61 +199,17 @@ Result<std::vector<RowId>> IpoTreeEngine::Query(
   }
 
   QueryStats stats;
-  auto publish = [&] {
+  DynamicBitset all(skyline_.size());
+  all.SetAll();
+  DynamicBitset result = QueryBits(0, root_.get(), std::move(all), eff, &stats);
+  std::vector<RowId> rows;
+  rows.reserve(result.count());
+  result.ForEachSetBit([&](size_t i) { rows.push_back(skyline_[i]); });
+  {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     last_query_stats_ = stats;
-  };
-  if (options_.use_bitmaps) {
-    DynamicBitset all(skyline_.size());
-    all.SetAll();
-    DynamicBitset result =
-        QueryBits(0, root_.get(), std::move(all), eff, &stats);
-    std::vector<RowId> rows;
-    rows.reserve(result.count());
-    result.ForEachSetBit([&](size_t i) { rows.push_back(skyline_[i]); });
-    publish();
-    return rows;
   }
-  std::vector<RowId> rows = QueryVec(0, root_.get(), skyline_, eff, &stats);
-  publish();
   return rows;
-}
-
-std::vector<RowId> IpoTreeEngine::QueryVec(size_t depth, const Node* node,
-                                           std::vector<RowId> x,
-                                           const PreferenceProfile& prefs,
-                                           QueryStats* stats) const {
-  ++stats->nodes_visited;
-  const size_t num_nominal = data_->schema().num_nominal();
-  if (depth == num_nominal) return x;
-  const ImplicitPreference& pref = prefs.pref(depth);
-  if (pref == template_->pref(depth)) {
-    // No refinement on this dimension: follow the φ child.
-    return QueryVec(depth + 1, node->children.back().get(), std::move(x),
-                    prefs, stats);
-  }
-  // Evaluate each first-order subquery "v_i ≺ *" on X − A(child) ...
-  std::vector<std::vector<RowId>> results;
-  results.reserve(pref.order());
-  for (ValueId v : pref.choices()) {
-    const Node* child = node->children[allowed_slot_[depth][v]].get();
-    ++stats->set_ops;
-    results.push_back(QueryVec(depth + 1, child,
-                               SetDifference(x, child->a_rows), prefs, stats));
-  }
-  // ... and fold with the merging property (Algorithm 2 / Theorem 2).
-  const auto& col = data_->nominal_column(depth);
-  std::vector<RowId> merged = std::move(results[0]);
-  for (size_t i = 1; i < results.size(); ++i) {
-    std::vector<RowId> z;
-    for (RowId p : merged) {
-      int pos = pref.PositionOf(col[p]);
-      if (pos >= 0 && pos < static_cast<int>(i)) z.push_back(p);
-    }
-    stats->set_ops += 2;
-    merged = SetUnion(SetIntersection(merged, results[i]), z);
-  }
-  return merged;
 }
 
 DynamicBitset IpoTreeEngine::QueryBits(size_t depth, const Node* node,
@@ -305,9 +221,11 @@ DynamicBitset IpoTreeEngine::QueryBits(size_t depth, const Node* node,
   if (depth == num_nominal) return x;
   const ImplicitPreference& pref = prefs.pref(depth);
   if (pref == template_->pref(depth)) {
+    // No refinement on this dimension: follow the φ child.
     return QueryBits(depth + 1, node->children.back().get(), std::move(x),
                      prefs, stats);
   }
+  // Evaluate each first-order subquery "v_i ≺ *" on X − A(child) ...
   std::vector<DynamicBitset> results;
   results.reserve(pref.order());
   for (ValueId v : pref.choices()) {
@@ -317,6 +235,7 @@ DynamicBitset IpoTreeEngine::QueryBits(size_t depth, const Node* node,
     ++stats->set_ops;
     results.push_back(QueryBits(depth + 1, child, std::move(xi), prefs, stats));
   }
+  // ... and fold with the merging property (Algorithm 2 / Theorem 2).
   DynamicBitset merged = std::move(results[0]);
   DynamicBitset prefix_mask(skyline_.size());
   for (size_t i = 1; i < results.size(); ++i) {
@@ -331,8 +250,7 @@ DynamicBitset IpoTreeEngine::QueryBits(size_t depth, const Node* node,
 }
 
 size_t IpoTreeEngine::NodeMemory(const Node& node) const {
-  size_t bytes = sizeof(Node) + node.a_rows.capacity() * sizeof(RowId) +
-                 node.a_bits.MemoryUsage() +
+  size_t bytes = sizeof(Node) + node.a_bits.MemoryUsage() +
                  node.children.capacity() * sizeof(std::unique_ptr<Node>);
   for (const auto& child : node.children) {
     if (child != nullptr) bytes += NodeMemory(*child);
@@ -350,7 +268,7 @@ size_t IpoTreeEngine::MemoryUsage() const {
   for (const auto& slots : allowed_slot_) {
     bytes += slots.capacity() * sizeof(int32_t);
   }
-  if (bitmap_index_ != nullptr) bytes += bitmap_index_->MemoryUsage();
+  bytes += bitmap_index_->MemoryUsage();
   return bytes;
 }
 

@@ -25,11 +25,12 @@
 // with Theorem 2:  X ← (X ∩ Y_i) ∪ {p ∈ X : p.D_d ∈ {v_1..v_{i-1}}}.
 // The number of set operations is O(x^{m'}).
 //
-// Options select sorted-vector vs. bitmap set representation (the paper's
-// two implementations) and MDC-based vs. direct construction, and support
-// the IPO-Tree-k truncation (materialize only the k most frequent values
-// per dimension; queries touching other values fail with Unsupported so a
-// hybrid can fall back to Adaptive SFS — Section 5.3).
+// A-sets are bitmaps over S (positions within the sorted template
+// skyline), so a set operation is a word-parallel AND/OR. Options select
+// MDC-based vs. direct construction and support the IPO-Tree-k truncation
+// (materialize only the k most frequent values per dimension; queries
+// touching other values fail with Unsupported so a hybrid can fall back to
+// Adaptive SFS — Section 5.3).
 
 #ifndef NOMSKY_CORE_IPO_TREE_H_
 #define NOMSKY_CORE_IPO_TREE_H_
@@ -61,10 +62,6 @@ class IpoTreeEngine : public SkylineEngine {
     /// Materialize only the k most frequent values per nominal dimension
     /// (paper's IPO-Tree-10). Default: all values.
     size_t max_values_per_dim = std::numeric_limits<size_t>::max();
-    /// Store/evaluate A-sets as bitmaps over S instead of sorted vectors.
-    /// Same default as EngineOptions::use_bitmaps, so a direct
-    /// construction builds the tree the registry's engines serve.
-    bool use_bitmaps = true;
     Construction construction = Construction::kMdc;
     /// Worker threads for filling the per-node disqualified sets (they are
     /// independent). 1 = sequential; 0 = hardware concurrency.
@@ -92,7 +89,7 @@ class IpoTreeEngine : public SkylineEngine {
   IpoTreeEngine(const Dataset& data, const PreferenceProfile& tmpl,
                 Options options);
 
-  /// Builds with default options (full tree, sorted-vector sets, MDC).
+  /// Builds with default options (full tree, MDC construction).
   IpoTreeEngine(const Dataset& data, const PreferenceProfile& tmpl)
       : IpoTreeEngine(data, tmpl, Options()) {}
 
@@ -141,9 +138,7 @@ class IpoTreeEngine : public SkylineEngine {
                 Options options, LoadTag);
 
   struct Node {
-    // Disqualified set, in exactly one representation (per Options).
-    std::vector<RowId> a_rows;  // sorted row ids
-    DynamicBitset a_bits;       // positions within skyline_
+    DynamicBitset a_bits;  // disqualified set: positions within skyline_
     // children[k] = subtree for the k-th allowed value of the NEXT nominal
     // dimension; children[num_allowed] = the φ subtree. Leaf nodes (depth
     // == m') have no children.
@@ -162,12 +157,7 @@ class IpoTreeEngine : public SkylineEngine {
   size_t FillDisqualifiedSet(Node* node, const EffectiveChoices& choices,
                              const MdcIndex* mdc) const;
 
-  // Sorted-vector query path.
-  std::vector<RowId> QueryVec(size_t depth, const Node* node,
-                              std::vector<RowId> x,
-                              const PreferenceProfile& prefs,
-                              QueryStats* stats) const;
-  // Bitmap query path (positions within skyline_).
+  // Evaluates the subtree at `node` on X (positions within skyline_).
   DynamicBitset QueryBits(size_t depth, const Node* node, DynamicBitset x,
                           const PreferenceProfile& prefs,
                           QueryStats* stats) const;
@@ -184,7 +174,7 @@ class IpoTreeEngine : public SkylineEngine {
   std::vector<std::vector<ValueId>> allowed_;       // per dim, materialized
   std::vector<std::vector<int32_t>> allowed_slot_;  // per dim, value -> child
   std::unique_ptr<Node> root_;
-  std::unique_ptr<NominalBitmapIndex> bitmap_index_;  // bitmap mode only
+  std::unique_ptr<NominalBitmapIndex> bitmap_index_;
   std::vector<RowId> dominator_pool_;
 
   BuildStats build_stats_;

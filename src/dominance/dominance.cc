@@ -58,56 +58,4 @@ DomResult DominanceComparator::Compare(RowId p, RowId q) const {
   return DomResult::kEqual;
 }
 
-GeneralDominanceComparator::GeneralDominanceComparator(
-    const Dataset& data, std::vector<PartialOrder> nominal_orders)
-    : orders_(std::move(nominal_orders)),
-      numeric_sign_(NumericSigns(data.schema())) {
-  NOMSKY_CHECK(orders_.size() == data.schema().num_nominal());
-  for (size_t j = 0; j < orders_.size(); ++j) {
-    NOMSKY_CHECK(orders_[j].cardinality() ==
-                 data.schema().dim(data.schema().nominal_dims()[j]).cardinality());
-  }
-  numeric_cols_.reserve(data.schema().num_numeric());
-  for (size_t i = 0; i < data.schema().num_numeric(); ++i) {
-    numeric_cols_.push_back(data.numeric_column(i).data());
-  }
-  nominal_cols_.reserve(orders_.size());
-  for (size_t j = 0; j < orders_.size(); ++j) {
-    nominal_cols_.push_back(data.nominal_column(j).data());
-  }
-}
-
-DomResult GeneralDominanceComparator::Compare(RowId p, RowId q) const {
-  bool left_better = false, right_better = false;
-  for (size_t i = 0; i < numeric_sign_.size(); ++i) {
-    const double* col = numeric_cols_[i];
-    double a = numeric_sign_[i] * col[p];
-    double b = numeric_sign_[i] * col[q];
-    if (a < b) {
-      if (right_better) return DomResult::kIncomparable;
-      left_better = true;
-    } else if (b < a) {
-      if (left_better) return DomResult::kIncomparable;
-      right_better = true;
-    }
-  }
-  for (size_t j = 0; j < orders_.size(); ++j) {
-    const ValueId* col = nominal_cols_[j];
-    ValueId a = col[p], b = col[q];
-    if (a == b) continue;
-    if (orders_[j].Contains(a, b)) {
-      if (right_better) return DomResult::kIncomparable;
-      left_better = true;
-    } else if (orders_[j].Contains(b, a)) {
-      if (left_better) return DomResult::kIncomparable;
-      right_better = true;
-    } else {
-      return DomResult::kIncomparable;
-    }
-  }
-  if (left_better) return DomResult::kLeftDominates;
-  if (right_better) return DomResult::kRightDominates;
-  return DomResult::kEqual;
-}
-
 }  // namespace nomsky

@@ -13,14 +13,13 @@
 #include <vector>
 
 #include "common/dataset.h"
-#include "order/partial_order.h"
 #include "order/preference_profile.h"
 
 namespace nomsky {
 
 /// \brief Per-dimension comparison signs folding the schema's numeric
 /// orientations: +1.0 for min-better, -1.0 for max-better. Shared by the
-/// reference comparators and the compiled kernel so the sign semantics
+/// reference comparator and the compiled kernel so the sign semantics
 /// cannot drift apart.
 std::vector<double> NumericSigns(const Schema& schema);
 
@@ -54,37 +53,6 @@ class DominanceComparator {
   const Dataset* data_;
   const PreferenceProfile* profile_;
   std::vector<double> numeric_sign_;
-};
-
-/// \brief Dominance under arbitrary per-dimension partial orders (the
-/// general partial-order model). Slower than DominanceComparator; used by
-/// the MDC machinery and by property tests that validate the implicit-
-/// preference fast path against the explicit P(R̃) expansion.
-///
-/// Column data pointers and numeric signs are hoisted out of the per-pair
-/// comparison loop at construction, so the dataset's columns must not grow
-/// (and thereby reallocate) while the comparator is alive. Every current
-/// user builds the comparator per query over a frozen dataset.
-class GeneralDominanceComparator {
- public:
-  /// `nominal_orders[j]` is the (closed) partial order of the j-th nominal
-  /// dimension. Must match the schema's nominal cardinalities.
-  GeneralDominanceComparator(const Dataset& data,
-                             std::vector<PartialOrder> nominal_orders);
-
-  DomResult Compare(RowId p, RowId q) const;
-
-  bool Dominates(RowId p, RowId q) const {
-    return Compare(p, q) == DomResult::kLeftDominates;
-  }
-
- private:
-  std::vector<PartialOrder> orders_;
-  std::vector<double> numeric_sign_;
-  // Hoisted raw column pointers: one indirection per dimension per pair
-  // instead of re-indexing the Dataset's vector-of-vectors each time.
-  std::vector<const double*> numeric_cols_;
-  std::vector<const ValueId*> nominal_cols_;
 };
 
 }  // namespace nomsky

@@ -15,23 +15,24 @@ size_t PaddedSlots(size_t used) {
          kSlotsPerCacheLine;
 }
 
-// One lane-role mask per `lanes`-slot group: bit l of element g flags slot
-// g*lanes+l as numeric (< nn) resp. nominal (in [nn, nn+nm)). Padding
+// One lane-role mask per 4-slot (AVX2) group: bit l of element g flags
+// slot 4g+l as numeric (< nn) resp. nominal (in [nn, nn+nm)). Padding
 // lanes are in neither mask, so full-width group compares AND away both
 // the padding and the foreign section when a group straddles a boundary.
-// The stride is a multiple of 8, so groups of 2 or 4 never cross rows.
-void BuildLaneMasks(size_t nn, size_t nm, size_t stride, size_t lanes,
+// The stride is a multiple of 8, so groups never cross rows.
+void BuildLaneMasks(size_t nn, size_t nm, size_t stride,
                     std::vector<uint8_t>* num_masks,
                     std::vector<uint8_t>* nom_masks) {
-  const size_t groups = stride / lanes;
+  constexpr size_t kLanes = 4;
+  const size_t groups = stride / kLanes;
   num_masks->assign(groups, 0);
-  if (nom_masks != nullptr) nom_masks->assign(groups, 0);
+  nom_masks->assign(groups, 0);
   for (size_t g = 0; g < groups; ++g) {
-    for (size_t l = 0; l < lanes; ++l) {
-      const size_t slot = g * lanes + l;
+    for (size_t l = 0; l < kLanes; ++l) {
+      const size_t slot = g * kLanes + l;
       if (slot < nn) {
         (*num_masks)[g] |= static_cast<uint8_t>(1u << l);
-      } else if (slot < nn + nm && nom_masks != nullptr) {
+      } else if (slot < nn + nm) {
         (*nom_masks)[g] |= static_cast<uint8_t>(1u << l);
       }
     }
@@ -62,49 +63,8 @@ CompiledProfile::CompiledProfile(const Schema& schema,
       ranks_[rank_offset_[j] + choices[pos]] = static_cast<uint32_t>(pos);
     }
   }
-  BuildLaneMasks(num_numeric_, num_nominal_, row_slots_, 4, &lane4_num_,
+  BuildLaneMasks(num_numeric_, num_nominal_, row_slots_, &lane4_num_,
                  &lane4_nom_);
-  BuildLaneMasks(num_numeric_, num_nominal_, row_slots_, 2, &lane2_num_,
-                 &lane2_nom_);
-}
-
-CompiledGeneralProfile::CompiledGeneralProfile(
-    const Schema& schema, const std::vector<PartialOrder>& orders)
-    : num_numeric_(schema.num_numeric()),
-      num_nominal_(schema.num_nominal()),
-      row_slots_(PaddedSlots(schema.num_numeric() + schema.num_nominal())),
-      sign_(NumericSigns(schema)) {
-  NOMSKY_CHECK(orders.size() == schema.num_nominal())
-      << "order count does not match schema";
-  rel_offset_.reserve(num_nominal_);
-  cardinality_.reserve(num_nominal_);
-  size_t total = 0;
-  for (size_t j = 0; j < num_nominal_; ++j) {
-    const size_t c = schema.dim(schema.nominal_dims()[j]).cardinality();
-    NOMSKY_CHECK(orders[j].cardinality() == c)
-        << "order cardinality does not match schema";
-    rel_offset_.push_back(total);
-    cardinality_.push_back(c);
-    total += c * c;
-  }
-  rel_.assign(total, 0);
-  for (size_t j = 0; j < num_nominal_; ++j) {
-    const size_t c = cardinality_[j];
-    for (ValueId a = 0; a < c; ++a) {
-      for (ValueId b = 0; b < c; ++b) {
-        if (a == b) continue;
-        if (orders[j].Contains(a, b)) {
-          rel_[rel_offset_[j] + a * c + b] = 1;
-        } else if (orders[j].Contains(b, a)) {
-          rel_[rel_offset_[j] + a * c + b] = 2;
-        }
-      }
-    }
-  }
-  BuildLaneMasks(num_numeric_, num_nominal_, row_slots_, 4, &lane4_num_,
-                 nullptr);
-  BuildLaneMasks(num_numeric_, num_nominal_, row_slots_, 2, &lane2_num_,
-                 nullptr);
 }
 
 void PackedBlock::WriteTo(BinaryWriter& writer) const {

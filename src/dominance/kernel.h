@@ -28,13 +28,8 @@
 //    same value; distinct values with equal ranks are two unlisted values,
 //    i.e. INCOMPARABLE (Definition 2), never equal.
 //
-// CompiledGeneralProfile is the same compilation for the general
-// partial-order model (arbitrary per-dimension orders): nominal slots hold
-// the raw ValueId and each dimension's transitively-closed order is
-// flattened into a byte relation table, one load per pair per dimension.
-//
-// Property tests (tests/dominance_kernel_test.cc) pin both compiled paths
-// byte-identical to the reference comparators across all four outcomes.
+// Property tests (tests/dominance_kernel_test.cc) pin the compiled path
+// byte-identical to the reference comparator across all four outcomes.
 
 #ifndef NOMSKY_DOMINANCE_KERNEL_H_
 #define NOMSKY_DOMINANCE_KERNEL_H_
@@ -48,7 +43,6 @@
 
 #include "common/dataset.h"
 #include "dominance/dominance.h"
-#include "order/partial_order.h"
 #include "order/preference_profile.h"
 
 namespace nomsky {
@@ -224,15 +218,13 @@ class CompiledProfile {
                              size_t n, size_t stride,
                              DomResult* result) const;
 
-  /// \brief Per-group lane role masks for the SIMD tiers: element g of the
-  /// width-4 (AVX2) or width-2 (SSE4.2) array holds one bit per lane of
-  /// slot group g flagging it numeric / nominal (padding lanes are in
-  /// neither mask). Compiled once so a group straddling the numeric and
-  /// nominal sections costs two masked compares instead of a tail loop.
+  /// \brief Per-group lane role masks for the AVX2 tier: element g holds
+  /// one bit per lane of 4-slot group g flagging it numeric / nominal
+  /// (padding lanes are in neither mask). Compiled once so a group
+  /// straddling the numeric and nominal sections costs two masked compares
+  /// instead of a tail loop.
   const uint8_t* lane4_numeric_masks() const { return lane4_num_.data(); }
   const uint8_t* lane4_nominal_masks() const { return lane4_nom_.data(); }
-  const uint8_t* lane2_numeric_masks() const { return lane2_num_.data(); }
-  const uint8_t* lane2_nominal_masks() const { return lane2_nom_.data(); }
 
  private:
   size_t num_numeric_ = 0;
@@ -243,111 +235,14 @@ class CompiledProfile {
   std::vector<size_t> rank_offset_;    // per-dimension offset into ranks_
   std::vector<uint8_t> lane4_num_;     // SIMD lane roles, 4-lane groups
   std::vector<uint8_t> lane4_nom_;
-  std::vector<uint8_t> lane2_num_;     // SIMD lane roles, 2-lane groups
-  std::vector<uint8_t> lane2_nom_;
-};
-
-/// \brief The general partial-order model compiled the same way: numeric
-/// slots are identical; nominal slots carry the raw ValueId and each
-/// dimension's closed order becomes a flat byte table rel[a*c + b]
-/// (0 incomparable, 1 a≺b, 2 b≺a), so a pair costs one load instead of two
-/// closure-matrix probes.
-class CompiledGeneralProfile {
- public:
-  CompiledGeneralProfile(const Schema& schema,
-                         const std::vector<PartialOrder>& orders);
-
-  size_t num_numeric() const { return num_numeric_; }
-  size_t num_nominal() const { return num_nominal_; }
-  size_t row_slots() const { return row_slots_; }
-  double numeric_sign(size_t i) const { return sign_[i]; }
-
-  void PackRow(const Dataset& data, RowId r, uint64_t* dest) const {
-    for (size_t i = 0; i < num_numeric_; ++i) {
-      dest[i] = std::bit_cast<uint64_t>(sign_[i] * data.numeric_column(i)[r]);
-    }
-    uint64_t* nom = dest + num_numeric_;
-    for (size_t j = 0; j < num_nominal_; ++j) {
-      nom[j] = data.nominal_column(j)[r];
-    }
-    for (size_t k = num_numeric_ + num_nominal_; k < row_slots_; ++k) {
-      dest[k] = 0;
-    }
-  }
-
-  /// \brief Four-way dominance over two packed rows; byte-identical
-  /// outcomes to GeneralDominanceComparator::Compare.
-  DomResult Compare(const uint64_t* a, const uint64_t* b) const {
-    unsigned left = 0, right = 0;
-    for (size_t i = 0; i < num_numeric_; ++i) {
-      const double x = std::bit_cast<double>(a[i]);
-      const double y = std::bit_cast<double>(b[i]);
-      left |= static_cast<unsigned>(x < y);
-      right |= static_cast<unsigned>(y < x);
-    }
-    if (left & right) return DomResult::kIncomparable;
-    const uint64_t* na = a + num_numeric_;
-    const uint64_t* nb = b + num_numeric_;
-    for (size_t j = 0; j < num_nominal_; ++j) {
-      const uint64_t va = na[j], vb = nb[j];
-      if (va == vb) continue;
-      const uint8_t r = rel_[rel_offset_[j] + va * cardinality_[j] + vb];
-      if (r == 0) return DomResult::kIncomparable;
-      if (r == 1) {
-        if (right) return DomResult::kIncomparable;
-        left = 1;
-      } else {
-        if (left) return DomResult::kIncomparable;
-        right = 1;
-      }
-    }
-    if (left) return DomResult::kLeftDominates;
-    if (right) return DomResult::kRightDominates;
-    return DomResult::kEqual;
-  }
-
-  /// \brief One-vs-many scan (kernel_simd.cc): index of the first row that
-  /// dominates `probe`, or n. The numeric section runs vectorized; the
-  /// relation-table probes stay scalar (table lookups do not vectorize).
-  size_t CompareBlock(const uint64_t* probe, const uint64_t* base, size_t n,
-                      size_t stride) const;
-
-  /// \brief Relation-table probe for the j-th nominal dimension: 0 when a
-  /// and b are incomparable, 1 when a ≺ b, 2 when b ≺ a. For the SIMD
-  /// module's scalar nominal section.
-  uint8_t relation(size_t j, uint64_t a, uint64_t b) const {
-    return rel_[rel_offset_[j] + a * cardinality_[j] + b];
-  }
-
-  /// \brief Values in the j-th nominal dimension's dictionary.
-  size_t cardinality(size_t j) const { return cardinality_[j]; }
-
-  /// \brief SIMD lane role masks for the numeric section (the nominal
-  /// section is scalar here, so there are no nominal masks).
-  const uint8_t* lane4_numeric_masks() const { return lane4_num_.data(); }
-  const uint8_t* lane2_numeric_masks() const { return lane2_num_.data(); }
-
- private:
-  size_t num_numeric_ = 0;
-  size_t num_nominal_ = 0;
-  size_t row_slots_ = 0;
-  std::vector<double> sign_;
-  std::vector<uint8_t> rel_;           // flat per-dimension relation tables
-  std::vector<size_t> rel_offset_;
-  std::vector<size_t> cardinality_;
-  std::vector<uint8_t> lane4_num_;     // SIMD lane roles, 4-lane groups
-  std::vector<uint8_t> lane2_num_;
 };
 
 /// \brief A batch of candidate rows packed row-major under a compiled
 /// profile, with the originating RowIds retained for mapping results back.
-/// Works with either compiled profile type (both satisfy PackRow +
-/// row_slots).
 class PackedBlock {
  public:
-  template <typename Profile>
-  void Pack(const Profile& profile, const Dataset& data, const RowId* ids,
-            size_t n) {
+  void Pack(const CompiledProfile& profile, const Dataset& data,
+            const RowId* ids, size_t n) {
     stride_ = profile.row_slots();
     ids_.assign(ids, ids + n);
     buf_.EnsureCapacity(n * stride_, 0);
@@ -357,16 +252,14 @@ class PackedBlock {
     }
   }
 
-  template <typename Profile>
-  void Pack(const Profile& profile, const Dataset& data,
+  void Pack(const CompiledProfile& profile, const Dataset& data,
             const std::vector<RowId>& ids) {
     Pack(profile, data, ids.data(), ids.size());
   }
 
   /// \brief Packs every row of `data` in order (ids 0..n-1). Shard images
   /// store whole shards, so the identity id map is the common case.
-  template <typename Profile>
-  void PackAll(const Profile& profile, const Dataset& data) {
+  void PackAll(const CompiledProfile& profile, const Dataset& data) {
     const size_t n = data.num_rows();
     stride_ = profile.row_slots();
     ids_.resize(n);
@@ -487,9 +380,9 @@ class PackedWindow {
 /// (rows examined up to and including the dominator) to *tests when
 /// provided — identical counts to the scalar per-pair scan, since every
 /// tier stops at the same first dominator.
-template <typename Profile>
-inline bool WindowDominates(const Profile& profile, const PackedWindow& window,
-                            const uint64_t* cand, size_t* tests = nullptr) {
+inline bool WindowDominates(const CompiledProfile& profile,
+                            const PackedWindow& window, const uint64_t* cand,
+                            size_t* tests = nullptr) {
   const size_t n = window.size();
   const size_t hit = profile.CompareBlock(cand, window.data(), n,
                                           window.stride());

@@ -2,10 +2,10 @@
 //
 // Every SIMD function carries a per-function target attribute instead of
 // the TU being compiled with -march flags, so the binary stays portable:
-// the baseline code paths never emit AVX2/SSE4.2 instructions, and the
-// tiered functions are only reached after __builtin_cpu_supports agrees.
+// the baseline code paths never emit AVX2 instructions, and the AVX2
+// functions are only reached after __builtin_cpu_supports agrees.
 //
-// Correctness contract: each tier's per-row verdict is byte-identical to
+// Correctness contract: the AVX2 per-row verdict is byte-identical to
 // CompiledProfile::Compare. The numeric section uses ordered-quiet (OQ)
 // vector compares, which implement IEEE `<` exactly like the scalar loop
 // (NaN compares false both ways, -0.0 == +0.0); the nominal section
@@ -79,47 +79,6 @@ size_t ScalarFindRelated(const CompiledProfile& profile, const uint64_t* probe,
     }
   }
   return n;
-}
-
-size_t ScalarFindDominatorGeneral(const CompiledGeneralProfile& profile,
-                                  const uint64_t* probe, const uint64_t* base,
-                                  size_t n, size_t stride) {
-  const uint64_t* row = base;
-  for (size_t i = 0; i < n; ++i, row += stride) {
-    if (profile.Compare(row, probe) == DomResult::kLeftDominates) return i;
-  }
-  return n;
-}
-
-// General-model nominal section shared by every tier: continues from the
-// numeric flags with the exact early-exit structure of
-// CompiledGeneralProfile::Compare, so tiered results cannot drift.
-DomResult GeneralNominalScan(const CompiledGeneralProfile& profile,
-                             const uint64_t* a, const uint64_t* b,
-                             bool num_left, bool num_right) {
-  if (num_left && num_right) return DomResult::kIncomparable;
-  unsigned left = num_left ? 1u : 0u;
-  unsigned right = num_right ? 1u : 0u;
-  const size_t nn = profile.num_numeric();
-  const size_t nm = profile.num_nominal();
-  const uint64_t* na = a + nn;
-  const uint64_t* nb = b + nn;
-  for (size_t j = 0; j < nm; ++j) {
-    const uint64_t va = na[j], vb = nb[j];
-    if (va == vb) continue;
-    const uint8_t r = profile.relation(j, va, vb);
-    if (r == 0) return DomResult::kIncomparable;
-    if (r == 1) {
-      if (right) return DomResult::kIncomparable;
-      left = 1;
-    } else {
-      if (left) return DomResult::kIncomparable;
-      right = 1;
-    }
-  }
-  if (left) return DomResult::kLeftDominates;
-  if (right) return DomResult::kRightDominates;
-  return DomResult::kEqual;
 }
 
 #if NOMSKY_KERNEL_X86
@@ -359,254 +318,6 @@ __attribute__((target("avx2"))) DomResult Avx2ComparePair(
       .ToResult();
 }
 
-// General model: vectorized numeric flags only; a row whose numeric
-// section already favors the probe can never dominate, so the scalar
-// relation-table scan runs only for numerically plausible rows.
-__attribute__((target("avx2"))) inline void Avx2NumericFlags(
-    const uint64_t* a, const uint64_t* b, size_t groups,
-    const uint8_t* num_masks, unsigned* left, unsigned* right) {
-  unsigned l = 0, r = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    const unsigned num = num_masks[g];
-    if (num == 0) continue;
-    const __m256d xa = _mm256_castsi256_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 4 * g)));
-    const __m256d xb = _mm256_castsi256_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 4 * g)));
-    l |= static_cast<unsigned>(
-             _mm256_movemask_pd(_mm256_cmp_pd(xa, xb, _CMP_LT_OQ))) &
-         num;
-    r |= static_cast<unsigned>(
-             _mm256_movemask_pd(_mm256_cmp_pd(xb, xa, _CMP_LT_OQ))) &
-         num;
-  }
-  *left = l;
-  *right = r;
-}
-
-__attribute__((target("avx2"))) size_t Avx2FindDominatorGeneral(
-    const CompiledGeneralProfile& profile, const uint64_t* probe,
-    const uint64_t* base, size_t n, size_t stride) {
-  const size_t groups = (profile.num_numeric() + 3) / 4;
-  const uint8_t* num_masks = profile.lane4_numeric_masks();
-  const uint64_t* row = base;
-  for (size_t i = 0; i < n; ++i, row += stride) {
-    unsigned left = 0, right = 0;
-    Avx2NumericFlags(row, probe, groups, num_masks, &left, &right);
-    if (right != 0) continue;  // probe strictly better somewhere
-    if (GeneralNominalScan(profile, row, probe, left != 0, false) ==
-        DomResult::kLeftDominates) {
-      return i;
-    }
-  }
-  return n;
-}
-
-__attribute__((target("avx2"))) DomResult Avx2ComparePairGeneral(
-    const CompiledGeneralProfile& profile, const uint64_t* a,
-    const uint64_t* b) {
-  unsigned left = 0, right = 0;
-  Avx2NumericFlags(a, b, (profile.num_numeric() + 3) / 4,
-                   profile.lane4_numeric_masks(), &left, &right);
-  return GeneralNominalScan(profile, a, b, left != 0, right != 0);
-}
-
-// ---------------------------------------------------------------------------
-// SSE4.2 tier: 2 slots per lane-op (PCMPGTQ is the SSE4.2 requirement).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("sse4.2"))) inline unsigned Mask2(__m128i v) {
-  return static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(v)));
-}
-
-__attribute__((target("sse4.2"))) inline RowVerdict Sse42RowFlags(
-    const uint64_t* a, const uint64_t* b, size_t groups,
-    const uint8_t* num_masks, const uint8_t* nom_masks) {
-  RowVerdict v;
-  for (size_t g = 0; g < groups; ++g) {
-    const __m128i wa =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + 2 * g));
-    const __m128i wb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + 2 * g));
-    const unsigned num = num_masks[g];
-    if (num != 0) {
-      const __m128d xa = _mm_castsi128_pd(wa);
-      const __m128d xb = _mm_castsi128_pd(wb);
-      v.left |=
-          static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xa, xb))) & num;
-      v.right |=
-          static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xb, xa))) & num;
-    }
-    const unsigned nom = nom_masks[g];
-    if (nom != 0) {
-      const __m128i ra = _mm_srli_epi64(wa, 32);
-      const __m128i rb = _mm_srli_epi64(wb, 32);
-      const unsigned rank_lt = Mask2(_mm_cmpgt_epi64(rb, ra));
-      const unsigned rank_gt = Mask2(_mm_cmpgt_epi64(ra, rb));
-      const unsigned word_eq = Mask2(_mm_cmpeq_epi64(wa, wb));
-      v.left |= rank_lt & nom;
-      v.right |= rank_gt & nom;
-      v.clash |= ~(rank_lt | rank_gt | word_eq) & nom;
-    }
-  }
-  return v;
-}
-
-__attribute__((target("sse4.2"))) size_t Sse42FindDominator(
-    const CompiledProfile& profile, const uint64_t* probe,
-    const uint64_t* base, size_t n, size_t stride) {
-  const size_t groups = stride / 2;
-  const uint8_t* num_masks = profile.lane2_numeric_masks();
-  const uint8_t* nom_masks = profile.lane2_nominal_masks();
-  const uint64_t* row = base;
-  for (size_t i = 0; i < n; ++i, row += stride) {
-    unsigned left = 0;
-    bool dead = false;
-    for (size_t g = 0; g < groups; ++g) {
-      const __m128i wa =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 2 * g));
-      const __m128i wb =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(probe + 2 * g));
-      unsigned disq = 0;
-      const unsigned num = num_masks[g];
-      if (num != 0) {
-        const __m128d xa = _mm_castsi128_pd(wa);
-        const __m128d xb = _mm_castsi128_pd(wb);
-        left |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xa, xb))) &
-                num;
-        disq |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xb, xa))) &
-                num;
-        if (disq != 0) {
-          dead = true;  // numeric right flag: skip the nominal compares
-          break;
-        }
-      }
-      const unsigned nom = nom_masks[g];
-      if (nom != 0) {
-        const __m128i ra = _mm_srli_epi64(wa, 32);
-        const __m128i rb = _mm_srli_epi64(wb, 32);
-        const unsigned rank_lt = Mask2(_mm_cmpgt_epi64(rb, ra));
-        const unsigned rank_gt = Mask2(_mm_cmpgt_epi64(ra, rb));
-        const unsigned word_eq = Mask2(_mm_cmpeq_epi64(wa, wb));
-        left |= rank_lt & nom;
-        disq |= (rank_gt | (~(rank_lt | rank_gt | word_eq))) & nom;
-      }
-      if (disq != 0) {
-        dead = true;
-        break;
-      }
-    }
-    if (!dead && left != 0) return i;
-  }
-  return n;
-}
-
-__attribute__((target("sse4.2"))) size_t Sse42FindRelated(
-    const CompiledProfile& profile, const uint64_t* probe,
-    const uint64_t* base, size_t n, size_t stride, DomResult* result) {
-  const size_t groups = stride / 2;
-  const uint8_t* num_masks = profile.lane2_numeric_masks();
-  const uint8_t* nom_masks = profile.lane2_nominal_masks();
-  const uint64_t* row = base;
-  for (size_t i = 0; i < n; ++i, row += stride) {
-    unsigned left = 0, right = 0;
-    bool dead = false;
-    for (size_t g = 0; g < groups; ++g) {
-      const __m128i wa =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 2 * g));
-      const __m128i wb =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(probe + 2 * g));
-      const unsigned num = num_masks[g];
-      if (num != 0) {
-        const __m128d xa = _mm_castsi128_pd(wa);
-        const __m128d xb = _mm_castsi128_pd(wb);
-        left |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xa, xb))) &
-                num;
-        right |=
-            static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xb, xa))) &
-            num;
-      }
-      const unsigned nom = nom_masks[g];
-      if (nom != 0) {
-        const __m128i ra = _mm_srli_epi64(wa, 32);
-        const __m128i rb = _mm_srli_epi64(wb, 32);
-        const unsigned rank_lt = Mask2(_mm_cmpgt_epi64(rb, ra));
-        const unsigned rank_gt = Mask2(_mm_cmpgt_epi64(ra, rb));
-        const unsigned word_eq = Mask2(_mm_cmpeq_epi64(wa, wb));
-        left |= rank_lt & nom;
-        right |= rank_gt & nom;
-        if ((~(rank_lt | rank_gt | word_eq) & nom) != 0) {
-          dead = true;
-          break;
-        }
-      }
-      if (left != 0 && right != 0) {
-        dead = true;
-        break;
-      }
-    }
-    if (!dead && (left != 0) != (right != 0)) {
-      *result = left != 0 ? DomResult::kLeftDominates
-                          : DomResult::kRightDominates;
-      return i;
-    }
-  }
-  return n;
-}
-
-__attribute__((target("sse4.2"))) DomResult Sse42ComparePair(
-    const CompiledProfile& profile, const uint64_t* a, const uint64_t* b) {
-  return Sse42RowFlags(a, b, profile.row_slots() / 2,
-                       profile.lane2_numeric_masks(),
-                       profile.lane2_nominal_masks())
-      .ToResult();
-}
-
-__attribute__((target("sse4.2"))) inline void Sse42NumericFlags(
-    const uint64_t* a, const uint64_t* b, size_t groups,
-    const uint8_t* num_masks, unsigned* left, unsigned* right) {
-  unsigned l = 0, r = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    const unsigned num = num_masks[g];
-    if (num == 0) continue;
-    const __m128d xa = _mm_castsi128_pd(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + 2 * g)));
-    const __m128d xb = _mm_castsi128_pd(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + 2 * g)));
-    l |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xa, xb))) & num;
-    r |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(xb, xa))) & num;
-  }
-  *left = l;
-  *right = r;
-}
-
-__attribute__((target("sse4.2"))) size_t Sse42FindDominatorGeneral(
-    const CompiledGeneralProfile& profile, const uint64_t* probe,
-    const uint64_t* base, size_t n, size_t stride) {
-  const size_t groups = (profile.num_numeric() + 1) / 2;
-  const uint8_t* num_masks = profile.lane2_numeric_masks();
-  const uint64_t* row = base;
-  for (size_t i = 0; i < n; ++i, row += stride) {
-    unsigned left = 0, right = 0;
-    Sse42NumericFlags(row, probe, groups, num_masks, &left, &right);
-    if (right != 0) continue;
-    if (GeneralNominalScan(profile, row, probe, left != 0, false) ==
-        DomResult::kLeftDominates) {
-      return i;
-    }
-  }
-  return n;
-}
-
-__attribute__((target("sse4.2"))) DomResult Sse42ComparePairGeneral(
-    const CompiledGeneralProfile& profile, const uint64_t* a,
-    const uint64_t* b) {
-  unsigned left = 0, right = 0;
-  Sse42NumericFlags(a, b, (profile.num_numeric() + 1) / 2,
-                    profile.lane2_numeric_masks(), &left, &right);
-  return GeneralNominalScan(profile, a, b, left != 0, right != 0);
-}
-
 #endif  // NOMSKY_KERNEL_X86
 
 // ---------------------------------------------------------------------------
@@ -617,12 +328,11 @@ __attribute__((target("sse4.2"))) DomResult Sse42ComparePairGeneral(
 // environment / CPU detection.
 std::atomic<int> g_forced_tier{kTierNoForce};
 
-// Highest available tier at or below the requested one.
+// Scalar stays scalar; any other request gets the best tier the host has
+// (AVX2 or, without it, scalar), so the result is always a valid tier.
 KernelTier ClampToAvailable(KernelTier tier) {
-  while (tier != KernelTier::kScalar && !KernelTierAvailable(tier)) {
-    tier = static_cast<KernelTier>(static_cast<uint8_t>(tier) - 1);
-  }
-  return tier;
+  return tier == KernelTier::kScalar ? KernelTier::kScalar
+                                     : DetectBestKernelTier();
 }
 
 KernelTier TierFromEnvironment() {
@@ -633,9 +343,6 @@ KernelTier TierFromEnvironment() {
   const char* name = std::getenv("NOMSKY_KERNEL_TIER");
   if (name != nullptr) {
     if (std::strcmp(name, "scalar") == 0) return KernelTier::kScalar;
-    if (std::strcmp(name, "sse42") == 0) {
-      return ClampToAvailable(KernelTier::kSse42);
-    }
     if (std::strcmp(name, "avx2") == 0) {
       return ClampToAvailable(KernelTier::kAvx2);
     }
@@ -651,8 +358,6 @@ const char* KernelTierName(KernelTier tier) {
   switch (tier) {
     case KernelTier::kAvx2:
       return "avx2";
-    case KernelTier::kSse42:
-      return "sse42";
     case KernelTier::kScalar:
       break;
   }
@@ -663,7 +368,6 @@ KernelTier DetectBestKernelTier() {
 #if NOMSKY_KERNEL_X86
   static const KernelTier best = [] {
     if (__builtin_cpu_supports("avx2")) return KernelTier::kAvx2;
-    if (__builtin_cpu_supports("sse4.2")) return KernelTier::kSse42;
     return KernelTier::kScalar;
   }();
   return best;
@@ -714,9 +418,6 @@ size_t FindDominatorTier(KernelTier tier, const CompiledProfile& profile,
   if (tier == KernelTier::kAvx2) {
     return Avx2FindDominator(profile, probe, base, n, stride);
   }
-  if (tier == KernelTier::kSse42) {
-    return Sse42FindDominator(profile, probe, base, n, stride);
-  }
 #else
   (void)tier;
 #endif
@@ -730,9 +431,6 @@ size_t FindRelatedTier(KernelTier tier, const CompiledProfile& profile,
   if (tier == KernelTier::kAvx2) {
     return Avx2FindRelated(profile, probe, base, n, stride, result);
   }
-  if (tier == KernelTier::kSse42) {
-    return Sse42FindRelated(profile, probe, base, n, stride, result);
-  }
 #else
   (void)tier;
 #endif
@@ -743,40 +441,6 @@ DomResult ComparePairTier(KernelTier tier, const CompiledProfile& profile,
                           const uint64_t* a, const uint64_t* b) {
 #if NOMSKY_KERNEL_X86
   if (tier == KernelTier::kAvx2) return Avx2ComparePair(profile, a, b);
-  if (tier == KernelTier::kSse42) return Sse42ComparePair(profile, a, b);
-#else
-  (void)tier;
-#endif
-  return profile.Compare(a, b);
-}
-
-size_t FindDominatorTier(KernelTier tier,
-                         const CompiledGeneralProfile& profile,
-                         const uint64_t* probe, const uint64_t* base,
-                         size_t n, size_t stride) {
-#if NOMSKY_KERNEL_X86
-  if (tier == KernelTier::kAvx2) {
-    return Avx2FindDominatorGeneral(profile, probe, base, n, stride);
-  }
-  if (tier == KernelTier::kSse42) {
-    return Sse42FindDominatorGeneral(profile, probe, base, n, stride);
-  }
-#else
-  (void)tier;
-#endif
-  return ScalarFindDominatorGeneral(profile, probe, base, n, stride);
-}
-
-DomResult ComparePairTier(KernelTier tier,
-                          const CompiledGeneralProfile& profile,
-                          const uint64_t* a, const uint64_t* b) {
-#if NOMSKY_KERNEL_X86
-  if (tier == KernelTier::kAvx2) {
-    return Avx2ComparePairGeneral(profile, a, b);
-  }
-  if (tier == KernelTier::kSse42) {
-    return Sse42ComparePairGeneral(profile, a, b);
-  }
 #else
   (void)tier;
 #endif
@@ -799,12 +463,6 @@ size_t CompiledProfile::CompareBlockRelated(const uint64_t* probe,
                                             DomResult* result) const {
   return FindRelatedTier(ActiveKernelTier(), *this, probe, base, n, stride,
                          result);
-}
-
-size_t CompiledGeneralProfile::CompareBlock(const uint64_t* probe,
-                                            const uint64_t* base, size_t n,
-                                            size_t stride) const {
-  return FindDominatorTier(ActiveKernelTier(), *this, probe, base, n, stride);
 }
 
 }  // namespace nomsky

@@ -3,8 +3,8 @@
 //
 // The PR-5 layout was shaped for exactly this: a packed row is contiguous
 // sign-folded doubles followed by u64 (rank << 32) | value nominal words on
-// a 64-byte stride, with the padding slots zeroed. That lets a vector lane
-// operation compare 4 (AVX2) or 2 (SSE4.2) slots of both rows at once:
+// a 64-byte stride, with the padding slots zeroed. That lets one AVX2 lane
+// operation compare 4 slots of both rows at once:
 //
 //  * numeric slots: one ordered-quiet compare per direction, movemask into
 //    the left/right flag bits (IEEE `<` exactly — NaN and ±0.0 behave as in
@@ -19,12 +19,13 @@
 //    group straddles the sections.
 //
 // Dispatch is by runtime CPU feature detection (no -march on the binary,
-// so artifacts stay portable): AVX2 > SSE4.2 > the scalar loop in
-// kernel.h. NOMSKY_FORCE_SCALAR_KERNEL=1 pins the scalar fallback,
-// NOMSKY_KERNEL_TIER=scalar|sse42|avx2 selects a specific tier (clamped to
-// what the host supports), and ForceKernelTier lets benches and tests pin
-// tiers in-process. Every tier is property-tested byte-identical to the
-// reference comparator (tests/dominance_kernel_test.cc).
+// so artifacts stay portable): AVX2 where the CPU has it, else the scalar
+// loop in kernel.h. NOMSKY_FORCE_SCALAR_KERNEL=1 pins the scalar fallback,
+// NOMSKY_KERNEL_TIER=scalar|avx2 selects a specific tier (clamped to what
+// the host supports; any other value falls through to detection), and
+// ForceKernelTier lets benches and tests pin tiers in-process. Both tiers
+// are property-tested byte-identical to the reference comparator
+// (tests/dominance_kernel_test.cc).
 //
 // The one-vs-many entry points are the whole design: the probe row's
 // vectors load into registers once per window scan instead of once per
@@ -43,11 +44,11 @@
 
 namespace nomsky {
 
-/// \brief Dispatch tiers, best last. Scalar is always available; the SIMD
-/// tiers exist on x86-64 hosts with the matching CPU feature.
-enum class KernelTier : uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+/// \brief Dispatch tiers, best last. Scalar is always available; AVX2
+/// exists on x86-64 hosts whose CPU supports it.
+enum class KernelTier : uint8_t { kScalar = 0, kAvx2 = 1 };
 
-/// \brief Stable lowercase tier name ("scalar" / "sse42" / "avx2") for
+/// \brief Stable lowercase tier name ("scalar" / "avx2") for
 /// logs, --explain output and BENCH JSON metadata.
 const char* KernelTierName(KernelTier tier);
 
@@ -58,7 +59,8 @@ KernelTier DetectBestKernelTier();
 /// \brief True iff `tier` can run on this host. kScalar is always true.
 bool KernelTierAvailable(KernelTier tier);
 
-/// \brief Every tier the host supports, worst (scalar) first.
+/// \brief Every tier the host supports, worst first: {kScalar} or
+/// {kScalar, kAvx2}.
 std::vector<KernelTier> AvailableKernelTiers();
 
 /// \brief The tier dispatched calls run on: a ForceKernelTier override if
@@ -66,7 +68,8 @@ std::vector<KernelTier> AvailableKernelTiers();
 /// the environment (read once), else DetectBestKernelTier().
 KernelTier ActiveKernelTier();
 
-/// \brief Pins the dispatched tier process-wide, clamped to availability;
+/// \brief Pins the dispatched tier process-wide: kScalar pins scalar, any
+/// other value pins the best available tier (AVX2, else scalar);
 /// kTierNoForce restores environment/detected dispatch. For benches and
 /// forced-dispatch CI runs — not intended to flip mid-query (readers pick
 /// it up per window scan).
@@ -96,20 +99,6 @@ size_t FindRelatedTier(KernelTier tier, const CompiledProfile& profile,
 /// \brief Full four-way comparison of two packed rows on a specific tier;
 /// byte-identical to CompiledProfile::Compare on every input.
 DomResult ComparePairTier(KernelTier tier, const CompiledProfile& profile,
-                          const uint64_t* a, const uint64_t* b);
-
-/// \brief General-model one-vs-many: the numeric section runs vectorized,
-/// the per-dimension relation-table probes stay scalar (table lookups do
-/// not vectorize).
-size_t FindDominatorTier(KernelTier tier,
-                         const CompiledGeneralProfile& profile,
-                         const uint64_t* probe, const uint64_t* base,
-                         size_t n, size_t stride);
-
-/// \brief General-model pair comparison on a specific tier; byte-identical
-/// to CompiledGeneralProfile::Compare.
-DomResult ComparePairTier(KernelTier tier,
-                          const CompiledGeneralProfile& profile,
                           const uint64_t* a, const uint64_t* b);
 
 }  // namespace nomsky

@@ -57,23 +57,4 @@ bool Subsumes(const CompiledProfile& weaker, const CompiledProfile& stronger) {
   return true;
 }
 
-bool Subsumes(const CompiledGeneralProfile& weaker,
-              const CompiledGeneralProfile& stronger) {
-  if (weaker.num_numeric() != stronger.num_numeric() ||
-      weaker.num_nominal() != stronger.num_nominal()) {
-    return false;
-  }
-  for (size_t j = 0; j < weaker.num_nominal(); ++j) {
-    const size_t c = weaker.cardinality(j);
-    if (stronger.cardinality(j) != c) return false;
-    for (uint64_t a = 0; a < c; ++a) {
-      for (uint64_t b = a + 1; b < c; ++b) {
-        const uint8_t r = weaker.relation(j, a, b);
-        if (r != 0 && stronger.relation(j, a, b) != r) return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace nomsky

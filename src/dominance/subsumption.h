@@ -8,20 +8,18 @@
 // the answer for any B that refines A, so B can be answered by re-filtering
 // A's cached rows through the kernel instead of rescanning the table.
 //
-// These predicates decide the containment directly on the compiled state
-// (rank arrays / relation tables), so the cache never re-parses profile
+// This predicate decides the containment directly on the compiled rank
+// arrays, so the cache never re-parses profile
 // text on the lookup path. `Subsumes(weaker, stronger)` is true iff for
 // every nominal dimension and every value pair (u, v):
 //
 //     u ≺_weaker v  ⇒  u ≺_stronger v
 //
 // Numeric dimensions are schema-oriented and query-independent, so they
-// never affect subsumption. For implicit preferences the per-pair relation
-// is rank order (listed choice position; unlisted = kUnlistedRank, i.e.
-// every listed value beats every unlisted one and two distinct unlisted
-// values are incomparable), which makes the containment checkable in
-// O(cardinality) per dimension. For the general partial-order model it is
-// a literal relation-table containment scan.
+// never affect subsumption. The per-pair relation is rank order (listed
+// choice position; unlisted = kUnlistedRank, i.e. every listed value beats
+// every unlisted one and two distinct unlisted values are incomparable),
+// which makes the containment checkable in O(cardinality) per dimension.
 //
 // tests/subsumption_test.cc pins Subsumes against
 // PreferenceProfile::IsRefinementOf and against the refilter property
@@ -41,12 +39,6 @@ namespace nomsky {
 /// compiled against different shapes (dimension counts or cardinalities)
 /// are never subsumed.
 bool Subsumes(const CompiledProfile& weaker, const CompiledProfile& stronger);
-
-/// \brief The general partial-order model's containment: every related
-/// pair in `weaker`'s closed relation tables is related the same way in
-/// `stronger`'s.
-bool Subsumes(const CompiledGeneralProfile& weaker,
-              const CompiledGeneralProfile& stronger);
 
 }  // namespace nomsky
 

@@ -13,7 +13,6 @@ namespace nomsky {
 IpoTreeEngine::Options TreeOptionsFrom(const EngineOptions& options,
                                        bool truncate) {
   IpoTreeEngine::Options tree;
-  tree.use_bitmaps = options.use_bitmaps;
   tree.num_threads = options.build_threads;
   if (truncate) {
     tree.max_values_per_dim = options.topk;

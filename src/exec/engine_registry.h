@@ -48,8 +48,6 @@ inline constexpr size_t kDefaultShardedMinRows = 50'000;
 struct EngineOptions {
   /// Values materialized per nominal dimension (hybrid / IPO-Tree-k).
   size_t topk = 10;
-  /// IPO set representation: bitmaps over S vs. sorted row vectors.
-  bool use_bitmaps = true;
   /// Worker threads for IPO-tree construction (0 = hardware concurrency).
   size_t build_threads = 1;
   /// Partition-merge shards for SFS-D queries (1 = sequential).

@@ -51,7 +51,7 @@ struct PlanDecision {
                        ///< "sharded"
   std::string reason;  ///< human-readable explanation (--explain output)
   /// Dominance kernel tier the routed engine's comparisons dispatch to
-  /// ("scalar" / "sse42" / "avx2"); resolved when the decision is made.
+  /// ("scalar" / "avx2"); resolved when the decision is made.
   std::string kernel_tier = KernelTierName(ActiveKernelTier());
   /// Which regime produced the verdict: "estimate" (static cost model),
   /// "warmup" (adaptive routing still collecting per-route samples) or

@@ -10,11 +10,8 @@ std::vector<RowId> AllRows(size_t n) {
   return rows;
 }
 
-namespace {
-
-template <typename Comparator>
-std::vector<RowId> NaiveImpl(const Comparator& cmp,
-                             const std::vector<RowId>& candidates) {
+std::vector<RowId> NaiveSkyline(const DominanceComparator& cmp,
+                                const std::vector<RowId>& candidates) {
   std::vector<RowId> skyline;
   for (RowId p : candidates) {
     bool dominated = false;
@@ -28,18 +25,6 @@ std::vector<RowId> NaiveImpl(const Comparator& cmp,
     if (!dominated) skyline.push_back(p);
   }
   return skyline;
-}
-
-}  // namespace
-
-std::vector<RowId> NaiveSkyline(const DominanceComparator& cmp,
-                                const std::vector<RowId>& candidates) {
-  return NaiveImpl(cmp, candidates);
-}
-
-std::vector<RowId> NaiveSkylineGeneral(const GeneralDominanceComparator& cmp,
-                                       const std::vector<RowId>& candidates) {
-  return NaiveImpl(cmp, candidates);
 }
 
 }  // namespace nomsky

@@ -20,10 +20,6 @@ namespace nomsky {
 std::vector<RowId> NaiveSkyline(const DominanceComparator& cmp,
                                 const std::vector<RowId>& candidates);
 
-/// \brief Same, under a general partial-order comparator.
-std::vector<RowId> NaiveSkylineGeneral(const GeneralDominanceComparator& cmp,
-                                       const std::vector<RowId>& candidates);
-
 /// \brief Convenience: the identity row list [0, n).
 std::vector<RowId> AllRows(size_t n);
 

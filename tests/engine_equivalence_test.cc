@@ -14,8 +14,6 @@
 #include "datagen/generator.h"
 #include "exec/engine_registry.h"
 #include "exec/query_executor.h"
-#include "order/partial_order.h"
-#include "skyline/general.h"
 #include "skyline/naive.h"
 #include "skyline/sfs.h"
 
@@ -96,25 +94,6 @@ TEST_P(EngineEquivalenceTest, ParallelPartitionMergeMatchesSequential) {
           c.data, combined, all, &pool, /*shards=*/threads, &stats));
       EXPECT_EQ(got, expected) << threads << " threads";
     }
-  }
-}
-
-TEST_P(EngineEquivalenceTest, ParallelGeneralSkylineMatchesSequential) {
-  RandomCase c = MakeCase(GetParam() + 900);
-  const PreferenceProfile combined =
-      c.queries.back().CombineWithTemplate(c.tmpl).ValueOrDie();
-  std::vector<PartialOrder> orders;
-  for (size_t j = 0; j < combined.num_nominal(); ++j) {
-    orders.push_back(combined.pref(j).ToPartialOrder());
-  }
-  std::vector<RowId> all = AllRows(c.data.num_rows());
-  std::vector<RowId> expected =
-      Sorted(GeneralSfsSkyline(c.data, orders, all));
-  for (size_t threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    std::vector<RowId> got = Sorted(ParallelGeneralSfsSkyline(
-        c.data, orders, all, &pool, /*shards=*/threads));
-    EXPECT_EQ(got, expected) << threads << " threads";
   }
 }
 

@@ -102,7 +102,6 @@ TEST(IpoTreeTest, MatchesNaiveOnRandomData) {
 }
 
 struct IpoVariantParam {
-  bool use_bitmaps;
   IpoTreeEngine::Construction construction;
   bool empty_template;
 };
@@ -121,7 +120,6 @@ TEST_P(IpoVariantTest, AgreesWithNaive) {
                                ? PreferenceProfile(data.schema())
                                : gen::MostFrequentTemplate(data);
   IpoTreeEngine::Options opts;
-  opts.use_bitmaps = param.use_bitmaps;
   opts.construction = param.construction;
   IpoTreeEngine tree(data, tmpl, opts);
   Rng rng(201);
@@ -144,20 +142,18 @@ TEST_P(IpoVariantTest, AgreesWithNaive) {
 // zero-initialized before its values are set, so its padding bytes are zero
 // and the names stay the same from run to run.
 constexpr IpoVariantParam kIpoVariantParams[] = {
-    {false, IpoTreeEngine::Construction::kMdc, false},
-    {true, IpoTreeEngine::Construction::kMdc, false},
-    {false, IpoTreeEngine::Construction::kDirect, false},
-    {true, IpoTreeEngine::Construction::kDirect, false},
-    {false, IpoTreeEngine::Construction::kMdc, true},
-    {true, IpoTreeEngine::Construction::kDirect, true}};
+    {IpoTreeEngine::Construction::kMdc, false},
+    {IpoTreeEngine::Construction::kDirect, false},
+    {IpoTreeEngine::Construction::kMdc, true},
+    {IpoTreeEngine::Construction::kDirect, true}};
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, IpoVariantTest, ::testing::ValuesIn(kIpoVariantParams),
     [](const ::testing::TestParamInfo<IpoVariantParam>& info) {
-      std::string name = info.param.use_bitmaps ? "bitmap" : "vector";
-      name += info.param.construction == IpoTreeEngine::Construction::kMdc
-                  ? "_mdc"
-                  : "_direct";
+      std::string name =
+          info.param.construction == IpoTreeEngine::Construction::kMdc
+              ? "bitmap_mdc"
+              : "bitmap_direct";
       name += info.param.empty_template ? "_emptytmpl" : "_freqtmpl";
       return name;
     });

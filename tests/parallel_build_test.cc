@@ -16,7 +16,6 @@ std::vector<RowId> Sorted(std::vector<RowId> v) {
 
 struct ParallelParam {
   size_t threads;
-  bool use_bitmaps;
   IpoTreeEngine::Construction construction;
 };
 
@@ -34,7 +33,6 @@ TEST_P(ParallelBuildTest, IdenticalToSequential) {
 
   IpoTreeEngine::Options seq_opts;
   seq_opts.num_threads = 1;
-  seq_opts.use_bitmaps = param.use_bitmaps;
   seq_opts.construction = param.construction;
   IpoTreeEngine sequential(data, tmpl, seq_opts);
 
@@ -57,17 +55,20 @@ TEST_P(ParallelBuildTest, IdenticalToSequential) {
   }
 }
 
+// gtest prints each parameter as a byte dump, padding included, and that
+// dump is part of the discovered ctest name. A static array is
+// zero-initialized before its values are set, so its padding bytes are zero
+// and the names stay the same from run to run.
+constexpr ParallelParam kParallelParams[] = {
+    {2, IpoTreeEngine::Construction::kMdc},
+    {4, IpoTreeEngine::Construction::kMdc},
+    {4, IpoTreeEngine::Construction::kDirect},
+    {0, IpoTreeEngine::Construction::kMdc}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, ParallelBuildTest,
-    ::testing::Values(
-        ParallelParam{2, false, IpoTreeEngine::Construction::kMdc},
-        ParallelParam{4, false, IpoTreeEngine::Construction::kMdc},
-        ParallelParam{4, true, IpoTreeEngine::Construction::kMdc},
-        ParallelParam{4, false, IpoTreeEngine::Construction::kDirect},
-        ParallelParam{0, true, IpoTreeEngine::Construction::kMdc}),
+    Sweep, ParallelBuildTest, ::testing::ValuesIn(kParallelParams),
     [](const ::testing::TestParamInfo<ParallelParam>& info) {
-      std::string name = "t" + std::to_string(info.param.threads);
-      name += info.param.use_bitmaps ? "_bitmap" : "_vector";
+      std::string name = "t" + std::to_string(info.param.threads) + "_bitmap";
       name += info.param.construction == IpoTreeEngine::Construction::kMdc
                   ? "_mdc"
                   : "_direct";

@@ -21,9 +21,7 @@
 #include "exec/planner.h"
 #include "exec/query_executor.h"
 #include "exec/sharded_engine.h"
-#include "order/partial_order.h"
 #include "skyline/estimator.h"
-#include "skyline/general.h"
 #include "skyline/naive.h"
 #include "skyline/sfs.h"
 
@@ -367,9 +365,7 @@ TEST(AutoShardedRoutingTest, ScanBoundLargeQueriesRouteToShards) {
 
 // The merge helpers underpinning the sharded layer, exercised directly on
 // ARBITRARY partitions (not the engine's own): per-subset skylines of any
-// cover of the rows must merge to the full skyline, in both the implicit-
-// preference shape (MergeLocalSkylines) and the general partial-order
-// shape (MergeGeneralLocalSkylines).
+// cover of the rows must merge to the full skyline (MergeLocalSkylines).
 TEST(MergeLocalSkylinesTest, ArbitraryPartitionsMergeToTheFullSkyline) {
   RandomCase c = MakeCase(21, 320);
   const PreferenceProfile combined =
@@ -389,18 +385,6 @@ TEST(MergeLocalSkylinesTest, ArbitraryPartitionsMergeToTheFullSkyline) {
   }
   EXPECT_EQ(Sorted(MergeLocalSkylines(c.data, combined, locals)),
             Sorted(SfsSkyline(c.data, combined, all)));
-
-  std::vector<PartialOrder> orders;
-  for (size_t j = 0; j < combined.num_nominal(); ++j) {
-    orders.push_back(combined.pref(j).ToPartialOrder());
-  }
-  std::vector<std::vector<RowId>> general_locals;
-  for (const auto& subset : subsets) {
-    general_locals.push_back(GeneralSfsSkyline(c.data, orders, subset));
-  }
-  EXPECT_EQ(
-      Sorted(MergeGeneralLocalSkylines(c.data, orders, general_locals)),
-      Sorted(GeneralSfsSkyline(c.data, orders, all)));
 }
 
 // Concurrency gate: one shared sharded engine answers a batch fanned out

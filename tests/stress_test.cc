@@ -53,7 +53,6 @@ TEST(StressTest, RandomConfigurationsAllEnginesAgree) {
     }
 
     IpoTreeEngine::Options opts;
-    opts.use_bitmaps = meta_rng.UniformInt(2) == 1;
     opts.construction = meta_rng.UniformInt(2) == 1
                             ? IpoTreeEngine::Construction::kDirect
                             : IpoTreeEngine::Construction::kMdc;

@@ -1,9 +1,7 @@
 // Subsumption property suite (Property 1, the result cache's soundness
 // argument): on randomized datasets and implicit queries,
 //   * Subsumes on compiled profiles must agree with
-//     PreferenceProfile::IsRefinementOf in both directions,
-//   * the general partial-order model's relation-table containment must
-//     agree on the same pairs, and
+//     PreferenceProfile::IsRefinementOf in both directions, and
 //   * whenever Subsumes(weaker, stronger) holds, re-filtering weaker's
 //     cached skyline under stronger is BYTE-IDENTICAL to a fresh scan —
 //     and every registered engine agrees on the answer set.
@@ -19,7 +17,6 @@
 #include "exec/engine_registry.h"
 #include "exec/result_cache.h"
 #include "exec/thread_pool.h"
-#include "order/partial_order.h"
 #include "skyline/naive.h"
 #include "skyline/sfs.h"
 
@@ -63,14 +60,6 @@ PreferenceProfile PrefixWeaken(const Dataset& data,
   return weak;
 }
 
-std::vector<PartialOrder> OrdersOf(const PreferenceProfile& profile) {
-  std::vector<PartialOrder> orders;
-  for (size_t j = 0; j < profile.num_nominal(); ++j) {
-    orders.push_back(profile.pref(j).ToPartialOrder());
-  }
-  return orders;
-}
-
 // One full-table span through the full RefilterSkyline pass (the table is
 // not a skyline, so the cross-shard merge does not apply): the canonical
 // emission order the cache both stores and serves.
@@ -104,12 +93,6 @@ TEST_P(SubsumptionPropertyTest, SubsumesAgreesWithIsRefinementOf) {
         << "a=" << a.ToString(schema) << " b=" << b.ToString(schema);
     EXPECT_EQ(Subsumes(cb, ca), a.IsRefinementOf(b))
         << "a=" << a.ToString(schema) << " b=" << b.ToString(schema);
-    // The general partial-order model must call related pairs the same way
-    // (implicit preferences are a special case of its relation tables).
-    const CompiledGeneralProfile ga(schema, OrdersOf(a));
-    const CompiledGeneralProfile gb(schema, OrdersOf(b));
-    EXPECT_EQ(Subsumes(ga, gb), b.IsRefinementOf(a));
-    EXPECT_EQ(Subsumes(gb, ga), a.IsRefinementOf(b));
   }
 }
 
