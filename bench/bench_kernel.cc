@@ -13,9 +13,20 @@
 //  * figure 2 — the raw one-vs-many window scan: every row probed against
 //    the fixed final skyline window via FindDominatorTier, no extraction
 //    bookkeeping. This isolates the CompareBlock speedup itself.
+//  * figure 3 — flat (PackedWindow + WindowDominates) vs nominal-bucketed
+//    (NominalBucketWindow) windows on the two window loops that use the
+//    bucketed one in production: SFS-A's progressive extraction (empty
+//    template, so every listed value re-ranks) and a 2-span cross-shard
+//    merge of a hash split, over the perfbench table (3 numeric + 2
+//    nominal dims, c=20, 40k rows scaled) and kFigure3Queries order-3
+//    profiles. Candidates are packed before the timer starts; the timed
+//    loop is the window work alone. Each entry records its total
+//    dominance_tests in extras.
 //
 // Every tier must reproduce the reference extraction byte-identically
-// (same skyline, same dominance-test count) — divergence is FATAL.
+// (same skyline, same dominance-test count), and in figure 3 both windows
+// must emit the engine's and MergeShardSkylines' sequence (the bucketed
+// one with their test counts) — divergence is FATAL.
 //
 // Output lands in BENCH_kernel.json in the harness figure format so
 // scripts/check_bench_regression.py gates it like the paper figures; the
@@ -24,16 +35,22 @@
 //
 // NOMSKY_SCALE scales the dataset rows as usual.
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/timer.h"
+#include "core/adaptive_sfs.h"
 #include "datagen/generator.h"
+#include "dominance/bucket_window.h"
 #include "dominance/kernel.h"
 #include "dominance/kernel_simd.h"
+#include "exec/sharded_dataset.h"
 #include "harness.h"
 #include "skyline/naive.h"
 #include "skyline/sfs.h"
@@ -47,6 +64,128 @@ struct SweepPoint {
   size_t num_nominal;
   size_t order;  // implicit-preference order of the query
 };
+
+// Figure 3's query count: fixed, so its dominance_tests are comparable
+// between any two runs at the same NOMSKY_SCALE.
+constexpr size_t kFigure3Queries = 40;
+
+// One query's window loop, candidates packed in visit order under the
+// query's compiled profile.
+struct WindowCase {
+  std::shared_ptr<const CompiledProfile> kernel;
+  size_t stride = 0;
+  std::vector<uint64_t> packed;
+  std::vector<RowId> ids;
+  std::vector<uint8_t> span;
+  std::vector<RowId> expected;  // the production sequence
+  size_t expected_tests = 0;    // the production (bucketed) count
+};
+
+// Which window a candidate of span s tests against, and which windows it
+// joins when accepted. SFS-A: span 0 = unaffected points (tested, never
+// kept), span 1 = affected points (kept). Merge: span s tests the window
+// holding the other span's winners.
+struct CaseShape {
+  size_t test[2];
+  std::vector<size_t> joins[2];
+};
+
+template <typename Window, typename MakeWindow, typename DominatesFn>
+std::vector<RowId> RunWindowCase(const WindowCase& c, const CaseShape& shape,
+                                 MakeWindow make, DominatesFn dominates,
+                                 size_t* tests) {
+  std::vector<Window> windows;
+  for (size_t w = 0; w < 2; ++w) windows.push_back(make());
+  std::vector<RowId> out;
+  for (size_t i = 0; i < c.ids.size(); ++i) {
+    const uint64_t* row = c.packed.data() + i * c.stride;
+    const size_t s = c.span[i];
+    if (dominates(windows[shape.test[s]], row, tests)) continue;
+    for (size_t w : shape.joins[s]) windows[w].Append(row, c.ids[i]);
+    out.push_back(c.ids[i]);
+  }
+  return out;
+}
+
+void PackInto(const Dataset& data, RowId r, WindowCase* c) {
+  c->packed.resize(c->packed.size() + c->stride);
+  c->kernel->PackRow(data, r,
+                     c->packed.data() + c->packed.size() - c->stride);
+}
+
+// SFS-A's candidate sequence: the template skyline in (query score, row)
+// order — the engine's merge of untouched and re-sorted affected points.
+WindowCase SfsaCase(const Dataset& data, const PreferenceProfile& tmpl,
+                    const AdaptiveSfsEngine& engine,
+                    const PreferenceProfile& query) {
+  const PreferenceProfile effective =
+      query.CombineWithTemplate(tmpl).ValueOrDie();
+  const RankTable old_ranks(data.schema(), tmpl);
+  const RankTable new_ranks(data.schema(), effective);
+  std::vector<ScoredRow> seq;
+  for (const ScoredRow& sr : engine.sorted_skyline()) {
+    seq.push_back(ScoredRow{new_ranks.Score(data, sr.row), sr.row});
+  }
+  std::sort(seq.begin(), seq.end());
+  WindowCase c;
+  c.kernel = std::make_shared<CompiledProfile>(data.schema(), effective);
+  c.stride = c.kernel->row_slots();
+  for (const ScoredRow& sr : seq) {
+    bool affected = false;
+    for (size_t j = 0; j < data.schema().num_nominal(); ++j) {
+      const ValueId v = data.nominal_column(j)[sr.row];
+      affected = affected || old_ranks.rank(j, v) != new_ranks.rank(j, v);
+    }
+    PackInto(data, sr.row, &c);
+    c.ids.push_back(sr.row);
+    c.span.push_back(affected ? 1 : 0);
+  }
+  c.expected = engine.Query(query).ValueOrDie();
+  c.expected_tests = engine.last_query_stats().dominance_tests;
+  return c;
+}
+
+// The 2-span merge's candidate sequence: both shards' local skylines in
+// (score, global id) order, span = shard.
+WindowCase MergeCase(const ShardedDataset& shards,
+                     const PreferenceProfile& query) {
+  const Schema& schema = shards.source().schema();
+  const RankTable ranks(schema, query);
+  std::vector<std::vector<RowId>> locals(2);
+  std::vector<ShardSpan> spans(2);
+  struct Cand {
+    double score;
+    RowId global;
+    size_t span;
+    RowId local;
+    bool operator<(const Cand& o) const {
+      return score != o.score ? score < o.score : global < o.global;
+    }
+  };
+  std::vector<Cand> cands;
+  for (size_t s = 0; s < 2; ++s) {
+    const Dataset& shard = shards.shard(s);
+    locals[s] = SfsSkyline(shard, query, AllRows(shard.num_rows()));
+    spans[s] = ShardSpan{&shard, nullptr, &locals[s], &shards.shard_rows(s)};
+    for (RowId local : locals[s]) {
+      cands.push_back(Cand{ranks.Score(shard, local),
+                           shards.ToGlobal(s, local), s, local});
+    }
+  }
+  std::sort(cands.begin(), cands.end());
+  WindowCase c;
+  c.kernel = std::make_shared<CompiledProfile>(schema, query);
+  c.stride = c.kernel->row_slots();
+  for (const Cand& cand : cands) {
+    PackInto(shards.shard(cand.span), cand.local, &c);
+    c.ids.push_back(cand.global);
+    c.span.push_back(static_cast<uint8_t>(cand.span));
+  }
+  SfsStats stats;
+  c.expected = MergeShardSkylines(query, spans, &stats);
+  c.expected_tests = stats.dominance_tests;
+  return c;
+}
 
 }  // namespace
 
@@ -241,5 +380,92 @@ int main() {
       "Dominance kernel one-vs-many window scan per dispatch tier, " +
           std::to_string(rows) + " probes",
       scan_points);
+
+  // Figure 3: flat vs bucketed windows.
+  gen::GenConfig table;
+  table.num_rows = bench::ScaledRows(40000);
+  const Dataset data = gen::Generate(table);
+  const PreferenceProfile empty(data.schema());
+  const AdaptiveSfsEngine sfsa(data, empty);
+  ShardedDataset::Options split;
+  split.num_shards = 2;
+  const ShardedDataset shards =
+      ShardedDataset::Partition(data, split).ValueOrDie();
+  Rng rng(7);
+  std::vector<WindowCase> sfsa_cases, merge_cases;
+  for (size_t q = 0; q < kFigure3Queries; ++q) {
+    const PreferenceProfile query =
+        gen::RandomImplicitQuery(data, empty, 3, &rng);
+    sfsa_cases.push_back(SfsaCase(data, empty, sfsa, query));
+    merge_cases.push_back(MergeCase(shards, query));
+  }
+  const CaseShape sfsa_shape{{0, 0}, {{}, {0}}};
+  const CaseShape merge_shape{{0, 1}, {{1}, {0}}};
+  std::vector<bench::PointMetrics> window_points;
+  for (const auto& [name, cases, shape] :
+       {std::tuple{"sfsa", &sfsa_cases, &sfsa_shape},
+        std::tuple{"merge2", &merge_cases, &merge_shape}}) {
+    bench::PointMetrics point;
+    point.label = std::string(name) + "/" + std::to_string(data.num_rows());
+    point.dataset_seed = table.seed;
+    for (KernelTier tier : tiers) {
+      ForceKernelTier(static_cast<int>(tier));
+      for (const bool bucketed : {false, true}) {
+        size_t tests = 0;
+        double seconds = 0.0;
+        for (const WindowCase& c : *cases) {
+          size_t case_tests = 0;
+          std::vector<RowId> got;
+          WallTimer timer;
+          if (bucketed) {
+            got = RunWindowCase<NominalBucketWindow>(
+                c, *shape, [&] { return NominalBucketWindow(*c.kernel); },
+                [](const NominalBucketWindow& w, const uint64_t* row,
+                   size_t* t) { return w.Dominates(row, t); },
+                &case_tests);
+          } else {
+            got = RunWindowCase<PackedWindow>(
+                c, *shape, [&] { return PackedWindow(c.stride); },
+                [&](const PackedWindow& w, const uint64_t* row, size_t* t) {
+                  return WindowDominates(*c.kernel, w, row, t);
+                },
+                &case_tests);
+          }
+          seconds += timer.ElapsedSeconds();
+          tests += case_tests;
+          if (got != c.expected ||
+              (bucketed && case_tests != c.expected_tests)) {
+            std::fprintf(stderr,
+                         "FATAL: %s %s-%s window diverges from production "
+                         "(%zu vs %zu rows, %zu vs %zu tests)\n",
+                         name, bucketed ? "bucketed" : "flat",
+                         KernelTierName(tier), got.size(), c.expected.size(),
+                         case_tests, c.expected_tests);
+            return 1;
+          }
+        }
+        const double per_query =
+            seconds / static_cast<double>(cases->size());
+        std::printf("%s: %-8s-%-6s %8.3f ms/query, %zu dominance tests\n",
+                    point.label.c_str(), bucketed ? "bucketed" : "flat",
+                    KernelTierName(tier), 1e3 * per_query, tests);
+        bench::EngineMetrics metrics;
+        metrics.name = std::string(bucketed ? "bucketed-" : "flat-") +
+                       KernelTierName(tier);
+        metrics.avg_query_s = per_query;
+        metrics.extras.emplace_back("dominance_tests",
+                                    static_cast<double>(tests));
+        point.engines.push_back(metrics);
+      }
+      ForceKernelTier(kTierNoForce);
+    }
+    window_points.push_back(point);
+  }
+  bench::PrintFigure(
+      "Flat vs nominal-bucketed dominance windows per dispatch tier: SFS-A "
+      "progressive extraction and a 2-span merge, " +
+          std::to_string(data.num_rows()) + " rows, " +
+          std::to_string(kFigure3Queries) + " order-3 queries",
+      window_points);
   return 0;
 }

@@ -4,9 +4,12 @@
 //     vs the serial-equivalent cost (the sum of the per-shard builds; the
 //     ratio is the parallel index-build speedup the layer exists for), and
 //   * query: mean per-query time, whose delta vs the unsharded engine is
-//     the fan-out + skyline-merge overhead, plus the merge's dominance
-//     tests over the query set (a deterministic work counter in the
-//     sharded engine's JSON extras, not gated).
+//     the fan-out + skyline-merge overhead, split in the sharded engine's
+//     JSON extras into the mean fan-out wall time (fanout_ms), the mean
+//     sum of the per-shard engine query times (shard_query_ms; both
+//     timings, not gated), and the merge's dominance tests over the query
+//     set (merge_dominance_tests, a deterministic work counter that
+//     scripts/check_bench_regression.py gates exactly).
 //
 // Each sweep point lands in BENCH_sharded.json as one PointMetrics with
 // two engines: the sharded engine (threads = shard count, since the build
@@ -98,22 +101,27 @@ int main() {
       const double wall_build = engine->preprocessing_seconds();
       const double serial_equiv = engine->shard_build_seconds_total() +
                                   engine->partition_seconds();
-      // The merge's dominance tests over the query set: a deterministic
-      // work counter (recorded in extras, not gated).
+      // The merge's dominance tests over the query set (a deterministic
+      // work counter) and the fan-out's wall and per-shard engine times.
       size_t merge_tests = 0;
+      double fanout_s = 0.0, shard_query_s = 0.0;
       const double avg_query = measure_queries(*engine, [&] {
         merge_tests += engine->last_merge_dominance_tests();
+        fanout_s += engine->last_fanout_seconds();
+        shard_query_s += engine->last_shard_query_seconds();
       });
+      const double n = static_cast<double>(queries.size());
 
       std::printf(
           "sharded:%-5s x%zu: build %7.1f ms wall (serial-equiv %7.1f ms, "
-          "%.2fx), query %8.3f ms vs %8.3f ms unsharded "
-          "(merge %zu -> %zu rows, %zu dominance tests over the queries)\n",
+          "%.2fx), query %8.3f ms vs %8.3f ms unsharded (fan-out %.3f ms "
+          "wall, shard engines %.3f ms summed; merge %zu -> %zu rows, %zu "
+          "dominance tests over the queries)\n",
           inner.c_str(), shards, 1e3 * wall_build, 1e3 * serial_equiv,
           wall_build > 0.0 ? serial_equiv / wall_build : 0.0,
-          1e3 * avg_query, 1e3 * plain_query,
-          engine->last_merge_candidates(), engine->last_merge_survivors(),
-          merge_tests);
+          1e3 * avg_query, 1e3 * plain_query, 1e3 * fanout_s / n,
+          1e3 * shard_query_s / n, engine->last_merge_candidates(),
+          engine->last_merge_survivors(), merge_tests);
 
       bench::PointMetrics point;
       point.label = inner + "/x" + std::to_string(shards);
@@ -127,6 +135,9 @@ int main() {
       sharded_metrics.avg_query_s = avg_query;
       sharded_metrics.extras.emplace_back(
           "merge_dominance_tests", static_cast<double>(merge_tests));
+      sharded_metrics.extras.emplace_back("fanout_ms", 1e3 * fanout_s / n);
+      sharded_metrics.extras.emplace_back("shard_query_ms",
+                                          1e3 * shard_query_s / n);
       point.engines.push_back(sharded_metrics);
 
       bench::EngineMetrics plain_metrics;

@@ -25,6 +25,16 @@ requests is one order statistic — a single scheduler hiccup on a shared
 runner moves it several-fold — so its budget must be far looser than a
 mean's or the gate flakes on every busy machine.
 
+Deterministic work counters are gated exactly: every "extras" entry whose
+name ends in "dominance_tests" (bench_kernel's figure 3, bench_sharded's
+merge_dominance_tests) fails the gate when it rises above the baseline's
+value for the same entry at the same NOMSKY_SCALE. These counts depend only
+on the data, the queries and the code, never on the machine, so any rise
+is a real change in the work done; no tolerance applies. Decreases are
+printed, so a baseline refresh is visible. Every other "extras" entry stays
+ungated (efficacy tracking, not a budget). A counter recorded under a
+different NOMSKY_QUERIES differs too; CI pins it alongside the scale.
+
 Only the in-tree harness schema (a top-level JSON array of figures, see
 bench/harness.cc) is checked; other JSON files (e.g. google-benchmark's
 BENCH_micro.json) are skipped with a note.
@@ -53,6 +63,7 @@ import sys
 from pathlib import Path
 
 GATED_MEANS = ("avg_query_s", "preprocess_s")
+GATED_COUNTER_SUFFIX = "dominance_tests"
 
 
 def load_harness_figures(path):
@@ -89,6 +100,49 @@ def index_means(figures):
     return means
 
 
+def index_counters(figures):
+    """{(figure_idx, label, engine, threads, extra): (value, scale)} for the
+    exactly gated work counters."""
+    counters = {}
+    for fi, figure in enumerate(figures):
+        scale = figure.get("scale", 1.0)
+        for point in figure.get("points", []):
+            label = point.get("label", "")
+            for engine in point.get("engines", []):
+                extras = engine.get("extras", {})
+                for name, value in extras.items():
+                    if name.endswith(GATED_COUNTER_SUFFIX):
+                        key = (fi, label, engine.get("name", ""),
+                               engine.get("threads", 1), name)
+                        counters[key] = (float(value), scale)
+    return counters
+
+
+def compare_counters(file_name, base_figs, fresh_figs):
+    """Returns (compared, regressions) for the gated work counters."""
+    base = index_counters(base_figs)
+    compared = 0
+    regressions = []
+    for key, (fresh_value, fresh_scale) in \
+            sorted(index_counters(fresh_figs).items()):
+        if key not in base:
+            continue
+        base_value, base_scale = base[key]
+        if base_scale != fresh_scale:
+            continue
+        compared += 1
+        fi, label, engine, threads, name = key
+        where = (f"{file_name} figure {fi} [{label}] {engine} x{threads} "
+                 f"{name}")
+        if fresh_value > base_value:
+            regressions.append(f"{where}: {base_value:.0f} -> "
+                               f"{fresh_value:.0f} (work counter rose)")
+        elif fresh_value < base_value:
+            print(f"note: {where}: {base_value:.0f} -> {fresh_value:.0f} "
+                  f"({100 * (fresh_value - base_value) / base_value:+.1f}%)")
+    return compared, regressions
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True, type=Path,
@@ -123,6 +177,7 @@ def main():
 
     regressions = []
     compared = 0
+    counters_compared = 0
     for fresh_path in fresh_files:
         base_path = args.baseline / fresh_path.name
         if not base_path.exists():
@@ -157,6 +212,10 @@ def main():
                   "entries have no fresh counterpart and are not gated:")
             for fi, label, engine, threads, metric in stale:
                 print(f"  figure {fi} [{label}] {engine} x{threads} {metric}")
+        file_counters, counter_regressions = compare_counters(
+            fresh_path.name, base_figs, fresh_figs)
+        counters_compared += file_counters
+        regressions.extend(counter_regressions)
         warned_tiers = set()
         for key, (fresh_mean, fresh_scale, fresh_tier) in \
                 sorted(fresh_means.items()):
@@ -191,8 +250,10 @@ def main():
                     f"x{threads} {metric}: {base_mean:.6f}s -> "
                     f"{fresh_mean:.6f}s (+{100 * slowdown:.1f}%)")
 
-    print(f"bench regression gate: {compared} means compared, "
-          f"{len(regressions)} over the {100 * args.tolerance:.0f}% budget")
+    print(f"bench regression gate: {compared} means and "
+          f"{counters_compared} work counters compared, {len(regressions)} "
+          f"regressions (means over the {100 * args.tolerance:.0f}% budget, "
+          "counters above the baseline)")
     if regressions:
         print("\nregressions:", file=sys.stderr)
         for line in regressions:

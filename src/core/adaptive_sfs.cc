@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/timer.h"
+#include "dominance/bucket_window.h"
 #include "dominance/kernel.h"
 #include "skyline/naive.h"
 
@@ -142,11 +143,13 @@ Result<size_t> AdaptiveSfsEngine::QueryProgressive(
   // Merged progressive extraction. Unaffected points keep their template
   // scores and mutual incomparability; every candidate needs checking only
   // against already-accepted AFFECTED points (see header comment). The
-  // accepted affected points live in a dense compiled-kernel window;
-  // candidates are packed lazily — only when the window is non-empty — so
-  // queries with few affected points keep their o(n)-comparison profile.
+  // accepted affected points live in a nominal-bucketed window, so each
+  // candidate meets only the affected rows that can beat it on every
+  // nominal dimension; candidates are packed lazily — only when the window
+  // is non-empty — so queries with few affected points keep their
+  // o(n)-comparison profile.
   CompiledProfile kernel(data_->schema(), effective);
-  PackedWindow accepted_affected(kernel.row_slots());
+  NominalBucketWindow accepted_affected(kernel);
   std::vector<uint64_t> cand_packed(kernel.row_slots());
   size_t emitted = 0;
 
@@ -172,8 +175,8 @@ Result<size_t> AdaptiveSfsEngine::QueryProgressive(
     if (accepted_affected.size() > 0) {
       kernel.PackRow(*data_, candidate.row, cand_packed.data());
       packed = true;
-      dominated = WindowDominates(kernel, accepted_affected,
-                                  cand_packed.data(), &stats.dominance_tests);
+      dominated = accepted_affected.Dominates(cand_packed.data(),
+                                             &stats.dominance_tests);
     }
     if (!dominated) {
       ++emitted;

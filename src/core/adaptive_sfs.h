@@ -17,7 +17,13 @@
 //   * two unaffected points stay mutually incomparable,
 // so every candidate only needs to be checked against the affected points
 // accepted so far. This yields the paper's O(l log n + min(c,l) · n) query
-// bound and emits skyline points progressively in score order.
+// bound and emits skyline points progressively in score order. The
+// accepted affected points live in a NominalBucketWindow
+// (dominance/bucket_window.h): a candidate is tested only against those
+// holding, on every nominal dimension, its own value or a listed value
+// ranked ahead of it — the only rows that can dominate it — so the
+// accept/reject decisions, and the emission order, are those of the flat
+// scan with fewer dominance tests.
 //
 // IncrementalAdaptiveSfs additionally owns its dataset and maintains
 // S and the sorted list under tuple insertions and deletions (Section 4.3).

@@ -56,13 +56,17 @@ CompiledProfile::CompiledProfile(const Schema& schema,
     total += schema.dim(schema.nominal_dims()[j]).cardinality();
   }
   ranks_.assign(total, kUnlistedRank);
+  listed_offset_.reserve(num_nominal_ + 1);
   for (size_t j = 0; j < num_nominal_; ++j) {
     const ImplicitPreference& pref = profile.pref(j);
     const std::vector<ValueId>& choices = pref.choices();
+    listed_offset_.push_back(listed_.size());
+    listed_.insert(listed_.end(), choices.begin(), choices.end());
     for (size_t pos = 0; pos < choices.size(); ++pos) {
       ranks_[rank_offset_[j] + choices[pos]] = static_cast<uint32_t>(pos);
     }
   }
+  listed_offset_.push_back(listed_.size());
   BuildLaneMasks(num_numeric_, num_nominal_, row_slots_, &lane4_num_,
                  &lane4_nom_);
 }

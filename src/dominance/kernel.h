@@ -39,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/dataset.h"
@@ -122,6 +123,14 @@ class CompiledProfile {
     const size_t end =
         j + 1 < num_nominal_ ? rank_offset_[j + 1] : ranks_.size();
     return end - rank_offset_[j];
+  }
+
+  /// \brief Values the j-th nominal dimension's preference lists, in rank
+  /// order: listed(j)[r] is the value of rank r. Every other value of the
+  /// dimension has kUnlistedRank.
+  std::span<const ValueId> listed(size_t j) const {
+    return {listed_.data() + listed_offset_[j],
+            listed_offset_[j + 1] - listed_offset_[j]};
   }
 
   double numeric_sign(size_t i) const { return sign_[i]; }
@@ -233,6 +242,8 @@ class CompiledProfile {
   std::vector<double> sign_;
   std::vector<uint32_t> ranks_;        // flat rank[ValueId], all dims
   std::vector<size_t> rank_offset_;    // per-dimension offset into ranks_
+  std::vector<ValueId> listed_;        // listed values, all dims, rank order
+  std::vector<size_t> listed_offset_;  // per-dimension offset, + end sentinel
   std::vector<uint8_t> lane4_num_;     // SIMD lane roles, 4-lane groups
   std::vector<uint8_t> lane4_nom_;
 };

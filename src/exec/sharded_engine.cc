@@ -331,14 +331,23 @@ Result<std::vector<RowId>> ShardedEngine::QueryServed(
   // Results stay shard-LOCAL; the merge maps them to global ids itself.
   std::vector<std::vector<RowId>> locals(k);
   std::vector<Status> statuses(k);
+  std::vector<double> shard_seconds(k, 0.0);
+  WallTimer fanout_timer;
   ParallelFor(pool_, k, [&](size_t s) {
+    WallTimer shard_timer;
     Result<std::vector<RowId>> rows = snaps[s]->engine->Query(query);
+    shard_seconds[s] = shard_timer.ElapsedSeconds();
     if (rows.ok()) {
       locals[s] = std::move(rows).ValueOrDie();
     } else {
       statuses[s] = rows.status();
     }
   });
+  last_fanout_seconds_.store(fanout_timer.ElapsedSeconds(),
+                             std::memory_order_relaxed);
+  double shard_total = 0.0;
+  for (double seconds : shard_seconds) shard_total += seconds;
+  last_shard_query_seconds_.store(shard_total, std::memory_order_relaxed);
   for (const Status& status : statuses) {
     NOMSKY_RETURN_NOT_OK(status);
   }

@@ -220,6 +220,18 @@ class ShardedEngine : public SkylineEngine {
   size_t last_merge_dominance_tests() const {
     return last_merge_dominance_tests_.load(std::memory_order_relaxed);
   }
+  /// \brief Fan-out observability of the most recent query that reached
+  /// the shards (same caveat as the merge counters): the wall seconds from
+  /// dispatching the per-shard queries to the last one finishing, and the
+  /// sum of the seconds each shard engine spent answering. Their gap is the
+  /// pool's dispatch and wait overhead; sum / wall is the fan-out's
+  /// parallelism.
+  double last_fanout_seconds() const {
+    return last_fanout_seconds_.load(std::memory_order_relaxed);
+  }
+  double last_shard_query_seconds() const {
+    return last_shard_query_seconds_.load(std::memory_order_relaxed);
+  }
 
   /// \brief The armed result cache, or null (result_cache_capacity == 0).
   const ResultCache* result_cache() const { return cache_.get(); }
@@ -279,6 +291,8 @@ class ShardedEngine : public SkylineEngine {
   mutable std::atomic<size_t> last_merge_candidates_{0};
   mutable std::atomic<size_t> last_merge_survivors_{0};
   mutable std::atomic<size_t> last_merge_dominance_tests_{0};
+  mutable std::atomic<double> last_fanout_seconds_{0.0};
+  mutable std::atomic<double> last_shard_query_seconds_{0.0};
 };
 
 }  // namespace nomsky

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <span>
 
+#include "dominance/bucket_window.h"
 #include "exec/thread_pool.h"
 
 namespace nomsky {
@@ -143,9 +144,10 @@ void EmitWinner(const SpanCandidate& c, std::vector<RowId>* rows,
 }
 
 // The one merge loop of every partition-then-merge caller. windows[t]
-// holds the rows every span but t has accepted, in acceptance order, so a
-// candidate from span t is tested only against other spans' rows (see the
-// precondition in sfs.h), in the order the full pass would meet them.
+// holds the rows every span but t has accepted, bucketed by their nominal
+// values, so a candidate from span t is tested only against other spans'
+// rows (see the precondition in sfs.h) that can beat it on every nominal
+// dimension, in the order the full pass would meet them.
 std::vector<RowId> CrossSpanExtract(const CompiledProfile& kernel,
                                     std::span<const ShardSpan> spans,
                                     const std::vector<SpanCandidate>& sorted,
@@ -155,14 +157,13 @@ std::vector<RowId> CrossSpanExtract(const CompiledProfile& kernel,
   std::vector<RowId> rows;
   std::vector<uint64_t> cand(kernel.row_slots());
   uint64_t* const cp = cand.data();
-  std::vector<PackedWindow> windows;
+  std::vector<NominalBucketWindow> windows;
   windows.reserve(n);
-  for (size_t t = 0; t < n; ++t) windows.emplace_back(kernel.row_slots());
+  for (size_t t = 0; t < n; ++t) windows.emplace_back(kernel);
   SfsStats local_stats;
   for (const SpanCandidate& c : sorted) {
     PackCandidate(kernel, spans[c.span], c.local, cp);
-    if (WindowDominates(kernel, windows[c.span], cp,
-                        &local_stats.dominance_tests)) {
+    if (windows[c.span].Dominates(cp, &local_stats.dominance_tests)) {
       continue;
     }
     for (size_t t = 0; t < n; ++t) {
@@ -203,15 +204,15 @@ std::vector<RowId> RefilterSkyline(const PreferenceProfile& profile,
   const std::vector<SpanCandidate> sorted =
       ScoreSpans(RankTable(schema, profile), {&span, 1});
   // One window over the whole sequence: every candidate meets every row
-  // accepted before it.
+  // accepted before it that can beat it on every nominal dimension.
   const CompiledProfile kernel(schema, profile);
   std::vector<uint64_t> cand(kernel.row_slots());
   uint64_t* const cp = cand.data();
-  PackedWindow window(kernel.row_slots());
+  NominalBucketWindow window(kernel);
   SfsStats local_stats;
   for (const SpanCandidate& c : sorted) {
     PackCandidate(kernel, span, c.local, cp);
-    if (!WindowDominates(kernel, window, cp, &local_stats.dominance_tests)) {
+    if (!window.Dominates(cp, &local_stats.dominance_tests)) {
       window.Append(cp, c.global);
     }
   }

@@ -117,8 +117,8 @@ struct SpanRow {
 /// PRECONDITION: every span's `local_skyline` is a skyline of its rows
 /// under `profile` — no two rows of one span dominate each other. The merge
 /// relies on it to test each candidate only against the rows the OTHER
-/// spans have accepted so far (one PackedWindow per span, holding every
-/// other span's accepted rows in acceptance order): if some earlier
+/// spans have accepted so far (one NominalBucketWindow per span, holding
+/// every other span's accepted rows): if some earlier
 /// candidate dominates c, then an ACCEPTED one w does (the candidates
 /// dominating c have an undominated member, which dominates c by
 /// transitivity, sorts before c because p ≺ q implies f(p) < f(q), and was
@@ -127,8 +127,12 @@ struct SpanRow {
 /// The accepted set — and, since emission stays in (score, global id)
 /// order, the emitted sequence — equals a full single-window pass over the
 /// union, and each candidate runs at most as many dominance tests as it
-/// would there: its window is the full pass's window minus its own span's
-/// rows, which never dominate it. One span is therefore a pure score sort:
+/// would there: both windows are bucketed by nominal values and visited in
+/// ascending bucket key, acceptance order within a bucket, so the rows c
+/// meets here are the full pass's rows minus its own span's, in the same
+/// order. Those never dominate c, so both scans stop at the same first
+/// dominator (or run out) and this one has examined a subsequence of the
+/// other's rows. One span is therefore a pure score sort:
 /// no packing, zero dominance tests. A span that is a SUPERSET of a skyline
 /// (a cached answer re-filtered under a stronger profile) breaks the
 /// precondition; use RefilterSkyline for it.

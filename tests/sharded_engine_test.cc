@@ -302,6 +302,12 @@ TEST(ShardedEngineTestObservability, ReportsShardsFootprintAndMergeStats) {
   // The merge saw at least the final skyline and can only shrink the union.
   EXPECT_EQ(engine->last_merge_survivors(), rows->size());
   EXPECT_GE(engine->last_merge_candidates(), rows->size());
+  // The fan-out was timed: four shard engines ran, and none can outlast
+  // the fan-out that waited for it, so the sum is at most 4x the wall.
+  EXPECT_GT(engine->last_fanout_seconds(), 0.0);
+  EXPECT_GT(engine->last_shard_query_seconds(), 0.0);
+  EXPECT_LE(engine->last_shard_query_seconds(),
+            4.0 * engine->last_fanout_seconds());
 }
 
 // The auto planner must take the sharded route for scan-bound queries over
