@@ -19,8 +19,10 @@
 //    template, so every listed value re-ranks) and a 2-span cross-shard
 //    merge of a hash split, over the perfbench table (3 numeric + 2
 //    nominal dims, c=20, 40k rows scaled) and kFigure3Queries order-3
-//    profiles. Candidates are packed before the timer starts; the timed
-//    loop is the window work alone. Each entry records its total
+//    profiles. Each bucketed window gets its production row bound (the
+//    affected count, the merge's candidate count), so it keys exactly as
+//    the engine's does. Candidates are packed before the timer starts; the
+//    timed loop is the window work alone. Each entry records its total
 //    dominance_tests in extras.
 //
 // Every tier must reproduce the reference extraction byte-identically
@@ -79,6 +81,7 @@ struct WindowCase {
   std::vector<uint8_t> span;
   std::vector<RowId> expected;  // the production sequence
   size_t expected_tests = 0;    // the production (bucketed) count
+  size_t max_rows = 0;          // the production window's row bound
 };
 
 // Which window a candidate of span s tests against, and which windows it
@@ -139,6 +142,7 @@ WindowCase SfsaCase(const Dataset& data, const PreferenceProfile& tmpl,
     PackInto(data, sr.row, &c);
     c.ids.push_back(sr.row);
     c.span.push_back(affected ? 1 : 0);
+    c.max_rows += affected ? 1 : 0;
   }
   c.expected = engine.Query(query).ValueOrDie();
   c.expected_tests = engine.last_query_stats().dominance_tests;
@@ -181,6 +185,7 @@ WindowCase MergeCase(const ShardedDataset& shards,
     c.ids.push_back(cand.global);
     c.span.push_back(static_cast<uint8_t>(cand.span));
   }
+  c.max_rows = c.ids.size();
   SfsStats stats;
   c.expected = MergeShardSkylines(query, spans, &stats);
   c.expected_tests = stats.dominance_tests;
@@ -419,7 +424,8 @@ int main() {
           WallTimer timer;
           if (bucketed) {
             got = RunWindowCase<NominalBucketWindow>(
-                c, *shape, [&] { return NominalBucketWindow(*c.kernel); },
+                c, *shape,
+                [&] { return NominalBucketWindow(*c.kernel, c.max_rows); },
                 [](const NominalBucketWindow& w, const uint64_t* row,
                    size_t* t) { return w.Dominates(row, t); },
                 &case_tests);

@@ -236,8 +236,13 @@ void MaybeWriteJson(const std::string& title,
     JsonEscaped(f, fig.title);
     // The dispatched dominance kernel tier makes baselines from different
     // hardware recognizable (the regression gate skips cross-tier diffs).
-    std::fprintf(f, "\", \"scale\": %.6g, \"kernel_tier\": \"%s\", \"points\": [\n",
-                 EnvScale(), KernelTierName(ActiveKernelTier()));
+    // "queries" is NOMSKY_QUERIES (0 when unset: each bench's default), so
+    // the gate compares query-summed counters only between like runs.
+    std::fprintf(f,
+                 "\", \"scale\": %.6g, \"queries\": %zu, \"kernel_tier\": "
+                 "\"%s\", \"points\": [\n",
+                 EnvScale(), EnvQueries(0),
+                 KernelTierName(ActiveKernelTier()));
     for (size_t pi = 0; pi < fig.points.size(); ++pi) {
       const PointMetrics& p = fig.points[pi];
       std::fprintf(f, "    {\"label\": \"");

@@ -28,12 +28,14 @@ mean's or the gate flakes on every busy machine.
 Deterministic work counters are gated exactly: every "extras" entry whose
 name ends in "dominance_tests" (bench_kernel's figure 3, bench_sharded's
 merge_dominance_tests) fails the gate when it rises above the baseline's
-value for the same entry at the same NOMSKY_SCALE. These counts depend only
-on the data, the queries and the code, never on the machine, so any rise
-is a real change in the work done; no tolerance applies. Decreases are
-printed, so a baseline refresh is visible. Every other "extras" entry stays
-ungated (efficacy tracking, not a budget). A counter recorded under a
-different NOMSKY_QUERIES differs too; CI pins it alongside the scale.
+value for the same entry recorded at the same NOMSKY_SCALE and the same
+NOMSKY_QUERIES (each figure's "scale" and "queries" fields; a figure
+without "queries" matches none, since a count summed over the queries
+changes with their number). These counts depend only on the data, the
+queries and the code, never on the machine, so any rise is a real change
+in the work done; no tolerance applies. Decreases are printed, so a
+baseline refresh is visible. Every other "extras" entry stays ungated
+(efficacy tracking, not a budget).
 
 Only the in-tree harness schema (a top-level JSON array of figures, see
 bench/harness.cc) is checked; other JSON files (e.g. google-benchmark's
@@ -101,11 +103,11 @@ def index_means(figures):
 
 
 def index_counters(figures):
-    """{(figure_idx, label, engine, threads, extra): (value, scale)} for the
-    exactly gated work counters."""
+    """{(figure_idx, label, engine, threads, extra): (value, run)} for the
+    exactly gated work counters; run = (scale, queries)."""
     counters = {}
     for fi, figure in enumerate(figures):
-        scale = figure.get("scale", 1.0)
+        run = (figure.get("scale", 1.0), figure.get("queries"))
         for point in figure.get("points", []):
             label = point.get("label", "")
             for engine in point.get("engines", []):
@@ -114,7 +116,7 @@ def index_counters(figures):
                     if name.endswith(GATED_COUNTER_SUFFIX):
                         key = (fi, label, engine.get("name", ""),
                                engine.get("threads", 1), name)
-                        counters[key] = (float(value), scale)
+                        counters[key] = (float(value), run)
     return counters
 
 
@@ -123,12 +125,12 @@ def compare_counters(file_name, base_figs, fresh_figs):
     base = index_counters(base_figs)
     compared = 0
     regressions = []
-    for key, (fresh_value, fresh_scale) in \
+    for key, (fresh_value, fresh_run) in \
             sorted(index_counters(fresh_figs).items()):
         if key not in base:
             continue
-        base_value, base_scale = base[key]
-        if base_scale != fresh_scale:
+        base_value, base_run = base[key]
+        if base_run != fresh_run or fresh_run[1] is None:
             continue
         compared += 1
         fi, label, engine, threads, name = key

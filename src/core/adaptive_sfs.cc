@@ -149,7 +149,7 @@ Result<size_t> AdaptiveSfsEngine::QueryProgressive(
   // is non-empty — so queries with few affected points keep their
   // o(n)-comparison profile.
   CompiledProfile kernel(data_->schema(), effective);
-  NominalBucketWindow accepted_affected(kernel);
+  NominalBucketWindow accepted_affected(kernel, resorted.size());
   std::vector<uint64_t> cand_packed(kernel.row_slots());
   size_t emitted = 0;
 

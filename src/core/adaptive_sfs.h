@@ -23,7 +23,9 @@
 // holding, on every nominal dimension, its own value or a listed value
 // ranked ahead of it — the only rows that can dominate it — so the
 // accept/reject decisions, and the emission order, are those of the flat
-// scan with fewer dominance tests.
+// scan with fewer dominance tests. With fewer than
+// NominalBucketWindow::kMinKeyedRows affected points the window keys
+// nothing and is the flat scan.
 //
 // IncrementalAdaptiveSfs additionally owns its dataset and maintains
 // S and the sorted list under tuple insertions and deletions (Section 4.3).

@@ -19,21 +19,36 @@
 //    with the kernel's rank/clash rule. The cardinality bound lets one
 //    machine word hold a value's eligible set, so a probe's set-up is one
 //    table load per keyed dimension.
+//  * Small windows. An extraction that can append fewer than kMinKeyedRows
+//    rows keys no dimension: its whole window is one bucket, every row is
+//    eligible, and the kernel's flat block scan (PackedWindow +
+//    WindowDominates) is that bucket's scan. A probe's bucket enumeration
+//    costs about as much as a flat scan of a few dozen rows, so below
+//    this size it saves nothing (SFS-A windows of under 100 rows over
+//    bench_sharded's 1000 keys ran a third slower keyed than flat).
+//    The choice depends only on the profile and the caller's row bound, so
+//    every window of one extraction — and the full pass a merge is
+//    compared with, over the same candidates — keys alike.
 //  * Storage. A flat header array (one entry per key) points at each
 //    bucket's rows in one arena region, in groups of kGroupRows
 //    rows stored column-major inside the group: the sign-folded numeric
 //    slots, then the un-keyed nominal words, each column kGroupRows slots.
 //    A group's numeric test is one load per dimension, and a bucket's rows
-//    are contiguous. The headers and the rest of the key state are built on
-//    the first Append, so a window that stays empty allocates nothing.
+//    are contiguous. The header array and the rest of the key state are
+//    built on the first Append, so a window that stays empty allocates
+//    nothing. One occupancy word per key prefix (every keyed value but the
+//    last) marks the buckets that hold rows, one bit per last-dimension
+//    value.
 //  * Visits. On keyed dimension j the eligible values are c's own value and
 //    the listed values ranked ahead of it, precomputed as one bit mask per
-//    (dimension, value). When the product of the eligible counts is at
-//    most the number of non-empty buckets, the eligible keys are enumerated
-//    directly; otherwise the non-empty list is walked and filtered. Both
-//    visit the non-empty eligible buckets in ascending key order, and rows
-//    within a bucket in acceptance order, scanning each bucket as it comes
-//    up and stopping at the first dominator.
+//    (dimension, value). When the product of the leading dimensions'
+//    eligible counts is at most the number of non-empty prefixes, the
+//    eligible prefixes are enumerated directly; otherwise the sorted list of
+//    non-empty prefixes is walked and filtered. Either way a prefix's
+//    occupancy word, masked by the last dimension's eligible values, gives
+//    its buckets, so the non-empty eligible buckets come up in ascending
+//    key order, and rows within a bucket in acceptance order; each bucket
+//    is scanned as it comes up and the probe stops at the first dominator.
 //  * Test. Inside an eligible bucket the keyed relation is known: every
 //    keyed value is equal or better, and strictly better somewhere unless
 //    the bucket is c's own. A row dominates c iff c is less than it on no
@@ -45,7 +60,7 @@
 // ineligible bucket is incomparable to c or dominated by it), so answers
 // and emission order do not change; only the work drops. `tests` counts
 // the rows examined, up to and including the first dominator, in visit
-// order. The scan has a scalar tier and an AVX2 tier (four rows per
+// order. The bucket scan has a scalar tier and an AVX2 tier (four rows per
 // compare group, masked tail), chosen by ActiveKernelTier() like
 // CompiledProfile::CompareBlock; both return the same verdict and count
 // (tests/bucket_window_test.cc).
@@ -72,6 +87,8 @@ class NominalBucketWindow {
   static constexpr size_t kMaxKeyedCardinality = 64;
   /// Rows per storage group: one AVX2 compare covers a group.
   static constexpr uint32_t kGroupRows = 4;
+  /// Fewest rows a window must be able to hold to key any dimension.
+  static constexpr size_t kMinKeyedRows = 128;
 
   /// One bucket: `count` rows in an arena region of `cap` rows (whole
   /// groups) starting at slot `offset`.
@@ -82,8 +99,10 @@ class NominalBucketWindow {
   };
 
   /// Borrows `profile`, which must outlive the window. Rows appended and
-  /// candidates probed must be packed under it.
-  explicit NominalBucketWindow(const CompiledProfile& profile);
+  /// candidates probed must be packed under it. `max_rows` bounds the rows
+  /// the caller may append (its candidate count); below kMinKeyedRows the
+  /// window keys no dimension.
+  NominalBucketWindow(const CompiledProfile& profile, size_t max_rows);
 
   /// \brief Files one accepted row (packed under the profile).
   void Append(const uint64_t* row, RowId id);
@@ -94,9 +113,11 @@ class NominalBucketWindow {
   /// window.
   bool Dominates(const uint64_t* cand, size_t* tests = nullptr) const;
 
-  size_t size() const { return ids_.size(); }
+  size_t size() const { return ids().size(); }
   /// \brief Appended row ids in acceptance order.
-  const std::vector<RowId>& ids() const { return ids_; }
+  const std::vector<RowId>& ids() const {
+    return keyed_ == 0 ? flat_.ids() : ids_;
+  }
   /// \brief Leading nominal dimensions the key covers.
   size_t keyed_dims() const { return keyed_; }
 
@@ -105,16 +126,19 @@ class NominalBucketWindow {
 
   // Builds the key and scan state below; runs on the first Append.
   void Init();
+  // The key prefix (mixed-radix number of every keyed value but the last)
+  // of a row's nominal words.
+  uint32_t KeyPrefix(const uint64_t* nom) const;
 
   const CompiledProfile* profile_;
   size_t keyed_ = 0;             // leading nominal dims in the key
   size_t num_buckets_ = 1;       // product of the keyed cardinalities
-  // Everything below is empty until the first Append.
+  PackedWindow flat_;            // the one bucket when keyed_ == 0
+  // Everything below is empty until the first Append to a keyed window.
   size_t columns_ = 0;           // numeric + un-keyed nominal slots
-  std::vector<uint32_t> radix_;  // per keyed dim: key multiplier
   std::vector<uint32_t> card_;   // per keyed dim: cardinality
-  // Per keyed dim: key multiplier over the last keyed dim (radix_[j] /
-  // card_.back()), the radix of a key prefix.
+  // Per keyed dim but the last: its multiplier in a key prefix (the key is
+  // prefix * card_.back() + the last keyed value).
   std::vector<uint32_t> prefix_radix_;
   size_t group_slots_ = 0;  // slots per group of kGroupRows rows
   // Per keyed dim j and value v, at eligible_[eligible_offset_[j] + v]:
@@ -123,13 +147,13 @@ class NominalBucketWindow {
   std::vector<uint64_t> eligible_;
   std::vector<size_t> eligible_offset_;
   std::vector<Bucket> buckets_;     // num_buckets_ headers
-  std::vector<uint32_t> nonempty_;  // keys with rows, ascending
-  // The keyed values of each nonempty_ key, keyed_dims() per key, so the
-  // walk filters without dividing keys apart.
-  std::vector<ValueId> nonempty_values_;
   // One bit per key, set while its bucket holds rows: one word per key
-  // prefix (the leading keyed values), one bit per last-dimension value.
+  // prefix, one bit per last-dimension value.
   std::vector<uint64_t> occupied_;
+  std::vector<uint32_t> prefixes_;  // prefixes with rows, ascending
+  // The leading keyed values of each prefixes_ entry, keyed_dims() - 1 per
+  // entry, so the walk filters without dividing prefixes apart.
+  std::vector<ValueId> prefix_values_;
   std::vector<uint64_t> arena_;     // bucket groups; zero-initialized
   std::vector<RowId> ids_;
   // Per-probe scratch, one entry per keyed dim: the candidate's eligible

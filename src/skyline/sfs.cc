@@ -159,7 +159,7 @@ std::vector<RowId> CrossSpanExtract(const CompiledProfile& kernel,
   uint64_t* const cp = cand.data();
   std::vector<NominalBucketWindow> windows;
   windows.reserve(n);
-  for (size_t t = 0; t < n; ++t) windows.emplace_back(kernel);
+  for (size_t t = 0; t < n; ++t) windows.emplace_back(kernel, sorted.size());
   SfsStats local_stats;
   for (const SpanCandidate& c : sorted) {
     PackCandidate(kernel, spans[c.span], c.local, cp);
@@ -208,7 +208,7 @@ std::vector<RowId> RefilterSkyline(const PreferenceProfile& profile,
   const CompiledProfile kernel(schema, profile);
   std::vector<uint64_t> cand(kernel.row_slots());
   uint64_t* const cp = cand.data();
-  NominalBucketWindow window(kernel);
+  NominalBucketWindow window(kernel, sorted.size());
   SfsStats local_stats;
   for (const SpanCandidate& c : sorted) {
     PackCandidate(kernel, span, c.local, cp);

@@ -127,7 +127,8 @@ struct SpanRow {
 /// The accepted set — and, since emission stays in (score, global id)
 /// order, the emitted sequence — equals a full single-window pass over the
 /// union, and each candidate runs at most as many dominance tests as it
-/// would there: both windows are bucketed by nominal values and visited in
+/// would there: both windows are bucketed alike (same profile, same
+/// candidate count, hence the same keyed dimensions) and visited in
 /// ascending bucket key, acceptance order within a bucket, so the rows c
 /// meets here are the full pass's rows minus its own span's, in the same
 /// order. Those never dominate c, so both scans stop at the same first

@@ -6,10 +6,11 @@
 // has. Schemas cover 0-3 nominal dimensions plus two with un-keyed
 // dimensions compared in the scan (the cardinality product exceeds the key
 // cap, or one dimension has more values than a keyed one may),
-// and 0-5 numeric dimensions (the AVX2 scan unrolls 2, 3 and 4); data
-// mixes listed, unlisted and equal rows, NaN and ±0.0; profiles range over
+// and 0-5 numeric dimensions (the AVX2 scan unrolls 3); data mixes
+// listed, unlisted and equal rows, NaN and ±0.0; profiles range over
 // orders 0 through the cardinality, and window sizes from 1 row to every
-// row, so both bucket enumeration modes run.
+// row, so both bucket enumeration modes run. Every window runs under a row bound that keys it and, when it holds
+// fewer than kMinKeyedRows rows, under its own size, which keys nothing.
 
 #include "dominance/bucket_window.h"
 
@@ -102,8 +103,10 @@ PreferenceProfile RandomProfile(const Schema& schema, const Shape& shape,
 }
 
 // The leading nominal dimensions of at most kMaxKeyedCardinality values
-// whose cardinality product stays within the cap.
-size_t ExpectedKeyedDims(const Shape& shape) {
+// whose cardinality product stays within the cap; none under a row bound
+// below kMinKeyedRows.
+size_t ExpectedKeyedDims(const Shape& shape, size_t max_rows) {
+  if (max_rows < NominalBucketWindow::kMinKeyedRows) return 0;
   size_t product = 1, keyed = 0;
   for (size_t c : shape.cards) {
     if (c > NominalBucketWindow::kMaxKeyedCardinality ||
@@ -164,14 +167,14 @@ TEST_P(BucketWindowTest, MatchesFlatScanAndOracleCount) {
       {"unkeyed_cap", 2, {64, 64, 3}},   // 64*64*3 > cap: dim 2 un-keyed
       {"unkeyed_card", 2, {5, 70, 3}},   // 70 values: dims 1 and 2 un-keyed
       {"nominal_only", 0, {3, 4}},
-      {"4num", 4, {5, 6}},  // every numeric count the AVX2 scan
-      {"5num", 5, {4}},     // specializes, and the generic one
+      {"3num", 3, {5, 6}},  // the AVX2 scan unrolls 3 numeric dimensions
+      {"4num", 4, {5, 6}},
+      {"5num", 5, {4}},
   };
   size_t probes = 0, dominated = 0;
   for (size_t si = 0; si < shapes.size(); ++si) {
     const Shape& shape = shapes[si];
     const Schema schema = MakeSchema(shape);
-    const size_t keyed = ExpectedKeyedDims(shape);
     const size_t max_card =
         shape.cards.empty()
             ? 0
@@ -197,38 +200,47 @@ TEST_P(BucketWindowTest, MatchesFlatScanAndOracleCount) {
         rng.Shuffle(&picks);
         picks.resize(window_rows);
         PackedWindow flat(kernel.row_slots());
-        NominalBucketWindow bucketed(kernel);
-        ASSERT_EQ(bucketed.keyed_dims(), keyed) << shape.name;
         std::vector<const uint64_t*> rows;
         for (size_t p : picks) {
           flat.Append(block.row(p), block.row_id(p));
-          bucketed.Append(block.row(p), block.row_id(p));
           rows.push_back(block.row(p));
         }
-        ASSERT_EQ(bucketed.ids(), flat.ids());
-        for (size_t q = 0; q < block.size(); ++q) {
-          const uint64_t* probe = block.row(q);
-          size_t flat_tests = 0, tests = 0;
-          const bool expected =
-              WindowDominates(kernel, flat, probe, &flat_tests);
-          const bool got = bucketed.Dominates(probe, &tests);
-          const auto [oracle_hit, oracle_tests] =
-              OracleScan(kernel, shape, keyed, rows, probe);
-          const std::string where =
-              std::string(shape.name) + " order " + std::to_string(order) +
-              " window " + std::to_string(window_rows) + " probe " +
-              std::to_string(q);
-          ASSERT_EQ(got, expected) << where;
-          ASSERT_EQ(oracle_hit, expected) << where;
-          ASSERT_EQ(tests, oracle_tests) << where;
-          // Without a dominator both scan all they may visit; the bucketed
-          // one visits a subset. (With one, visit order differs: either
-          // may stop first.)
-          if (!got) {
-            ASSERT_LE(tests, flat_tests) << where;
+        std::vector<size_t> bounds = {NominalBucketWindow::kMinKeyedRows};
+        if (window_rows < NominalBucketWindow::kMinKeyedRows) {
+          bounds.push_back(window_rows);
+        }
+        for (size_t bound : bounds) {
+          const size_t keyed = ExpectedKeyedDims(shape, bound);
+          NominalBucketWindow bucketed(kernel, bound);
+          ASSERT_EQ(bucketed.keyed_dims(), keyed) << shape.name;
+          for (size_t p : picks) {
+            bucketed.Append(block.row(p), block.row_id(p));
           }
-          ++probes;
-          dominated += got ? 1 : 0;
+          ASSERT_EQ(bucketed.ids(), flat.ids());
+          for (size_t q = 0; q < block.size(); ++q) {
+            const uint64_t* probe = block.row(q);
+            size_t flat_tests = 0, tests = 0;
+            const bool expected =
+                WindowDominates(kernel, flat, probe, &flat_tests);
+            const bool got = bucketed.Dominates(probe, &tests);
+            const auto [oracle_hit, oracle_tests] =
+                OracleScan(kernel, shape, keyed, rows, probe);
+            const std::string where =
+                std::string(shape.name) + " order " + std::to_string(order) +
+                " window " + std::to_string(window_rows) + " bound " +
+                std::to_string(bound) + " probe " + std::to_string(q);
+            ASSERT_EQ(got, expected) << where;
+            ASSERT_EQ(oracle_hit, expected) << where;
+            ASSERT_EQ(tests, oracle_tests) << where;
+            // Without a dominator both scan all they may visit; the
+            // bucketed one visits a subset. (With one, visit order
+            // differs: either may stop first.)
+            if (!got) {
+              ASSERT_LE(tests, flat_tests) << where;
+            }
+            ++probes;
+            dominated += got ? 1 : 0;
+          }
         }
       }
     }
@@ -269,10 +281,19 @@ TEST_P(BucketWindowTest, SemanticCorners) {
   const CompiledProfile kernel(schema, profile);
   PackedBlock block;
   block.Pack(kernel, data, AllRows(data.num_rows()));
+  // Keyed and unkeyed windows must agree on every corner.
   auto dominated_by = [&](std::vector<RowId> window_rows, RowId probe) {
-    NominalBucketWindow window(kernel);
-    for (RowId r : window_rows) window.Append(block.row(r), r);
-    return window.Dominates(block.row(probe));
+    NominalBucketWindow keyed(kernel, NominalBucketWindow::kMinKeyedRows);
+    NominalBucketWindow unkeyed(kernel, window_rows.size());
+    EXPECT_EQ(keyed.keyed_dims(), 1u);
+    EXPECT_EQ(unkeyed.keyed_dims(), 0u);
+    for (RowId r : window_rows) {
+      keyed.Append(block.row(r), r);
+      unkeyed.Append(block.row(r), r);
+    }
+    const bool verdict = keyed.Dominates(block.row(probe));
+    EXPECT_EQ(unkeyed.Dominates(block.row(probe)), verdict);
+    return verdict;
   };
   EXPECT_FALSE(dominated_by({1}, 0));     // equal
   EXPECT_TRUE(dominated_by({2}, 0));      // strictly better numeric
@@ -299,11 +320,13 @@ TEST_P(BucketWindowTest, EmptyWindowTestsNothing) {
   const CompiledProfile kernel(schema, PreferenceProfile(schema));
   PackedBlock block;
   block.Pack(kernel, data, AllRows(data.num_rows()));
-  NominalBucketWindow window(kernel);
-  size_t tests = 0;
-  EXPECT_FALSE(window.Dominates(block.row(0), &tests));
-  EXPECT_EQ(tests, 0u);
-  EXPECT_EQ(window.size(), 0u);
+  for (size_t bound : {size_t{0}, NominalBucketWindow::kMinKeyedRows}) {
+    NominalBucketWindow window(kernel, bound);
+    size_t tests = 0;
+    EXPECT_FALSE(window.Dominates(block.row(0), &tests));
+    EXPECT_EQ(tests, 0u);
+    EXPECT_EQ(window.size(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, BucketWindowTest,

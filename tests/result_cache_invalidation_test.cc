@@ -193,6 +193,16 @@ TEST(ResultCacheInvalidationConcurrencyTest,
     ++swaps;
   }
   for (auto& reader : readers) reader.join();
+  // Whatever the verdict, an answer now must match shard 0's current
+  // contents (the full table after an even number of swaps): a stale entry
+  // cached after the last racing swap would show here.
+  {
+    CacheVerdict settled_verdict = CacheVerdict::kMiss;
+    auto settled = engine->QueryServed(c.query, nullptr, &settled_verdict);
+    ASSERT_TRUE(settled.ok());
+    EXPECT_EQ(Sorted(*settled), swaps % 2 == 0 ? truth_a : truth_b)
+        << "verdict " << CacheVerdictName(settled_verdict);
+  }
   // Land on the full table with one more swap after the readers are gone,
   // even when shard 0 already holds it: a reader's last query may have
   // cached a valid answer after the last racing swap, and only a swap
